@@ -88,11 +88,15 @@ struct SweepCell {
  * How a multi-timing-cell trace group is replayed.
  *
  * Batched (the default) advances every cell of the group from one
- * pass over the record stream (timing::makeBatchedTimingModel);
- * PerCell re-walks the buffer once per cell with a standalone
- * per-cell model (timing::makeTimingModel).
+ * pass over the record stream (timing::makeBatchedTimingModel): all
+ * "pipeline" cells run on the shared-window BatchedPipelineSim (one
+ * per predictor geometry), even in a group that mixes backends, and
+ * every other cell on its own model fed from the same pass. PerCell
+ * re-walks the buffer once per cell with a standalone per-cell model
+ * (timing::makeTimingModel).
  * The two are bit-identical in every simulated field
- * (tests/batched_replay_test.cc is the differential harness), so
+ * (tests/batched_replay_test.cc and timing_model_test.cc's split
+ * cases are the differential harnesses), so
  * PerCell exists as the reference oracle and for debugging, not as a
  * different model.
  */

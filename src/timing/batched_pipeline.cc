@@ -3,16 +3,45 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace uasim::timing {
 
 using trace::InstrClass;
 using trace::InstrRecord;
 
+namespace {
+
+/// Validate @p cfgs and the constructor precondition; return the
+/// shared predictor's log2 size (12 for an empty group).
+unsigned
+checkedGeometry(const std::vector<CoreConfig> &cfgs)
+{
+    // Same rule as PipelineSim: reject a bad group before sizing
+    // anything from it (the shared predictor table, any cell).
+    for (const auto &cfg : cfgs) {
+        cfg.validate();
+        if (cfg.model != "pipeline") {
+            throw std::invalid_argument(
+                "BatchedPipelineSim: cell \"" + cfg.name +
+                "\" has model \"" + cfg.model +
+                "\", not \"pipeline\"");
+        }
+        if (cfg.bpredLog2Entries != cfgs.front().bpredLog2Entries) {
+            throw std::invalid_argument(
+                "BatchedPipelineSim: cells mix bpredLog2Entries " +
+                std::to_string(cfgs.front().bpredLog2Entries) +
+                " and " + std::to_string(cfg.bpredLog2Entries));
+        }
+    }
+    return cfgs.empty() ? 12u : unsigned(cfgs.front().bpredLog2Entries);
+}
+
+} // namespace
+
 BatchedPipelineSim::Cell::Cell(const CoreConfig &config)
-    // Same rule as PipelineSim: reject a bad config before sizing
-    // anything from it.
-    : cfg((config.validate(), config)), mem(config.mem)
+    : cfg(config), mem(config.mem)
 {
     res.core = cfg.name;
     storeQ.reserve(cfg.storeQ);
@@ -32,9 +61,7 @@ BatchedPipelineSim::Cell::Cell(const CoreConfig &config)
 }
 
 BatchedPipelineSim::BatchedPipelineSim(const std::vector<CoreConfig> &cfgs)
-    // All cells share one predictor geometry (constructor
-    // precondition); the shared stream-pure predictor uses it.
-    : bpred_(cfgs.empty() ? 12u : unsigned(cfgs.front().bpredLog2Entries))
+    : bpred_(checkedGeometry(cfgs))
 {
     cells_.reserve(cfgs.size());
     std::size_t maxSpan = 1;

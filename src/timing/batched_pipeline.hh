@@ -91,11 +91,14 @@ class BatchedPipelineSim : public BatchedTimingModel
   public:
     /**
      * One machine state per entry of @p cfgs (duplicates allowed;
-     * every cell is simulated independently). Precondition: every
-     * entry is a "pipeline" cell and all share one bpredLog2Entries
-     * (the shared mispredict precompute runs a single predictor) -
-     * makeBatchedTimingModel() routes any other group to the generic
-     * multiplexer instead of here.
+     * every cell is simulated independently). Precondition, enforced:
+     * every entry is a valid "pipeline" cell and all share one
+     * bpredLog2Entries (the shared mispredict precompute runs a
+     * single predictor). makeBatchedTimingModel() splits any other
+     * group, giving each predictor geometry's "pipeline" cells one
+     * BatchedPipelineSim and every other cell its own TimingModel.
+     * @throws std::invalid_argument on a violation, before sizing
+     * anything from the configs.
      */
     explicit BatchedPipelineSim(const std::vector<CoreConfig> &cfgs);
 

@@ -16,7 +16,8 @@
  *   "pipeline"  PipelineSim (timing/pipeline.hh) - the Turandot-like
  *               in-flight-window model of the paper's Table II runs,
  *               with BatchedPipelineSim as its one-pass multi-cell
- *               engine.
+ *               engine: every "pipeline" cell of a batched group runs
+ *               on it, whatever the group's other cells are.
  *   "ooo"       OoOPipelineSim (timing/ooo_pipeline.hh) - an
  *               out-of-order core with a ROB/issue-queue split, a
  *               store-set memory-dependence predictor, and a
@@ -95,12 +96,16 @@ std::unique_ptr<TimingModel> makeTimingModel(const CoreConfig &cfg);
 
 /**
  * Construct a batched engine for @p cfgs (one cell per entry;
- * duplicates allowed). A uniform all-"pipeline" group gets the
- * optimized one-pass BatchedPipelineSim; any other group falls back
- * to a generic multiplexer that feeds one TimingModel per cell
- * cell-major - trivially bit-identical to the per-cell path, just
- * without the shared-window speedups.
- * @throws std::invalid_argument if any entry names an unknown model.
+ * duplicates allowed). The group is split by engine: the "pipeline"
+ * cells that share a bpredLog2Entries run on one BatchedPipelineSim
+ * (one instance per distinct geometry, in order of first
+ * appearance), and every other cell on its own makeTimingModel()
+ * instance; finalizeAll() returns results in @p cfgs order. When one
+ * BatchedPipelineSim covers every cell (a uniform "pipeline" group),
+ * that engine itself is returned. Each cell is bit-identical to a
+ * standalone makeTimingModel() of its config.
+ * @throws std::invalid_argument if any entry names an unknown model
+ * or fails CoreConfig::validate().
  */
 std::unique_ptr<BatchedTimingModel>
 makeBatchedTimingModel(const std::vector<CoreConfig> &cfgs);

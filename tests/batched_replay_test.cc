@@ -12,7 +12,10 @@
  *  - degenerate grids: a single cell, duplicate configs;
  *  - synthetic dependence chains long enough to wrap the ready ring;
  *  - append() vs appendBlock() chunk-boundary equivalence and the
- *    empty stream.
+ *    empty stream;
+ *  - the enforced constructor precondition: invalid configs, other
+ *    backends and mixed predictor geometries throw before anything
+ *    is sized.
  * Every comparison iterates core::simResultFields(), so a counter
  * added to SimResult is automatically diffed here — modeling it in
  * one engine but not the other fails the harness by construction.
@@ -22,6 +25,7 @@
 
 #include <cstdint>
 #include <random>
+#include <stdexcept>
 #include <vector>
 
 #include "core/experiment.hh"
@@ -353,4 +357,46 @@ TEST(BatchedReplay, FinalizeAllIsIdempotent)
     ASSERT_EQ(first.size(), second.size());
     for (std::size_t i = 0; i < first.size(); ++i)
         expectFieldsIdentical(first[i], second[i], "idempotent");
+}
+
+TEST(BatchedReplay, RejectsBadGroupsBeforeSizing)
+{
+    // Every config is validated before the shared predictor is sized:
+    // 31 would otherwise allocate a 2 GiB table first, and 32-40 are
+    // out-of-range shifts.
+    for (int log2 : {0, 29, 31, 32, 40}) {
+        CoreConfig bad = CoreConfig::fourWayOoO();
+        bad.bpredLog2Entries = log2;
+        EXPECT_THROW(BatchedPipelineSim({bad}), std::invalid_argument)
+            << "bpredLog2Entries " << log2;
+    }
+    // A bad cell anywhere in the group, not just the first.
+    CoreConfig badLater = CoreConfig::twoWayInOrder();
+    badLater.inflight = 0;
+    EXPECT_THROW(BatchedPipelineSim({CoreConfig::fourWayOoO(), badLater}),
+                 std::invalid_argument);
+
+    // The precondition: "pipeline" cells only, one predictor geometry.
+    CoreConfig ooo = CoreConfig::fourWayOoO();
+    ooo.model = "ooo";
+    EXPECT_THROW(BatchedPipelineSim({CoreConfig::fourWayOoO(), ooo}),
+                 std::invalid_argument);
+    CoreConfig otherGeometry = CoreConfig::fourWayOoO();
+    otherGeometry.bpredLog2Entries = 10;
+    EXPECT_THROW(
+        BatchedPipelineSim({CoreConfig::fourWayOoO(), otherGeometry}),
+        std::invalid_argument);
+}
+
+TEST(BatchedReplay, NonDefaultPredictorGeometry)
+{
+    // The shared predictor takes the group's geometry, not the
+    // default 4K-entry table.
+    auto records =
+        kernelRecords({KernelId::LumaMc, 8, false}, Variant::Unaligned, 3);
+    std::vector<CoreConfig> cfgs = {CoreConfig::twoWayInOrder(),
+                                    CoreConfig::eightWayOoO()};
+    for (auto &cfg : cfgs)
+        cfg.bpredLog2Entries = 4;
+    expectBitIdentical(cfgs, records, "bpred 2^4");
 }

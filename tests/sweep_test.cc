@@ -10,6 +10,9 @@
  *    still populates every mix-only cell and accounts its
  *    instructions as both recorded and replayed;
  *  - kernelTraceJob's warmupCalls reproduces shared-bench history;
+ *  - a group mixing backends and predictor geometries replays
+ *    bit-identically to per-cell replay, sharded or not, from memory
+ *    or from the store;
  *  - with a persistent store attached, a warm run replays every
  *    cacheable trace from disk with zero re-emulation and results
  *    bit-identical to the in-memory path, corrupt entries fall back
@@ -22,6 +25,7 @@
 #include <string>
 
 #include "core/experiment.hh"
+#include "core/result.hh"
 #include "core/sweep.hh"
 #include "timing/pipeline.hh"
 #include "trace/trace_buffer.hh"
@@ -40,18 +44,9 @@ namespace {
 void
 expectSimEqual(const timing::SimResult &a, const timing::SimResult &b)
 {
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.instrs, b.instrs);
-    EXPECT_EQ(a.branches, b.branches);
-    EXPECT_EQ(a.mispredicts, b.mispredicts);
-    EXPECT_EQ(a.l1dAccesses, b.l1dAccesses);
-    EXPECT_EQ(a.l1dMisses, b.l1dMisses);
-    EXPECT_EQ(a.l2Misses, b.l2Misses);
-    EXPECT_EQ(a.l1iMisses, b.l1iMisses);
-    EXPECT_EQ(a.storeForwards, b.storeForwards);
-    EXPECT_EQ(a.unalignedVecOps, b.unalignedVecOps);
-    EXPECT_EQ(a.lineCrossings, b.lineCrossings);
-    EXPECT_EQ(a.fetchStallCycles, b.fetchStallCycles);
+    EXPECT_EQ(a.core, b.core);
+    for (const auto &f : core::simResultFields())
+        EXPECT_EQ(a.*(f.member), b.*(f.member)) << "counter " << f.name;
 }
 
 void
@@ -617,4 +612,66 @@ TEST(SweepSharding, WarmStoreShardedReplayBitIdenticalAndAccounted)
     EXPECT_GT(ws.bytesMapped, 0u);
     EXPECT_EQ(ws.decodeBytes, ws.replayPasses * ws.bytesMapped);
 #endif
+}
+
+TEST(SweepSharding, MixedBackendAndGeometryGroupMatchesPerCell)
+{
+    // One trace x 8 cells that mix "pipeline" and "ooo" and two
+    // predictor geometries: the batched factory splits each replay
+    // slice by engine. At 4 threads the group is cut into 4 shards of
+    // 2 cells: mixed backends, mixed geometries, mixed backends, and
+    // one uniform pipeline pair. Every run, from the in-memory buffer
+    // or a warm store, must match per-cell replay.
+    struct Cell {
+        const char *model;
+        int bpredLog2;
+    };
+    const Cell cells[] = {
+        {"pipeline", 12}, {"ooo", 12},      {"pipeline", 2},
+        {"pipeline", 12}, {"ooo", 2},       {"pipeline", 2},
+        {"pipeline", 12}, {"pipeline", 12},
+    };
+    auto makePlan = [&cells] {
+        SweepPlan plan;
+        // A branchy trace, so the two predictor geometries disagree.
+        int t = plan.addTrace(core::kernelTraceJob(
+            {KernelId::Idct, 4, false}, Variant::Unaligned, 4));
+        for (int i = 0; i < 8; ++i) {
+            auto cfg = timing::CoreConfig::preset(i % 3);
+            cfg.model = cells[i].model;
+            cfg.bpredLog2Entries = cells[i].bpredLog2;
+            cfg.lat.unalignedLoadExtra = i % 5;
+            plan.addCell(t, plan.addConfig("c" + std::to_string(i), cfg));
+        }
+        return plan;
+    };
+
+    SweepRunner percell(1);
+    percell.setReplayMode(core::ReplayMode::PerCell);
+    const auto want = percell.run(makePlan());
+    ASSERT_EQ(want.size(), 8u);
+
+    StoreDir dir("mixed_group");
+    SweepRunner cold(1);
+    cold.attachStore(dir.path);
+    expectResultsEqual(want, cold.run(makePlan()));
+    EXPECT_EQ(cold.stats().tracesRecorded, 1u);
+
+    for (bool warmStore : {false, true}) {
+        for (int threads : {1, 4}) {
+            SCOPED_TRACE(std::string(warmStore ? "warm store" : "memory") +
+                         ", " + std::to_string(threads) + " threads");
+            SweepRunner runner(threads);
+            if (warmStore)
+                runner.attachStore(dir.path);
+            expectResultsEqual(want, runner.run(makePlan()));
+            const auto &st = runner.stats();
+            EXPECT_EQ(st.replayPasses, std::uint64_t(threads));
+            EXPECT_EQ(st.instrsReplayed, percell.stats().instrsReplayed);
+            if (warmStore) {
+                EXPECT_EQ(st.tracesRecorded, 0u);
+                EXPECT_EQ(st.tracesLoaded, 1u);
+            }
+        }
+    }
 }

@@ -1,7 +1,9 @@
 /**
  * @file
  * TimingModel interface tests: the factory/registry contract, the
- * cross-model stream-pure differential harness, the shared
+ * batched factory's split of a group by engine (every group shape
+ * bit-identical to standalone models), the cross-model stream-pure
+ * differential harness, the shared
  * line-crossing-load gate, and the ooo backend's own mechanisms
  * (store-set prediction, decoupled issue width, memBW throttle).
  *
@@ -25,6 +27,7 @@
 #include "core/experiment.hh"
 #include "core/result.hh"
 #include "core/sweep.hh"
+#include "timing/batched_pipeline.hh"
 #include "timing/model.hh"
 #include "timing/ooo_pipeline.hh"
 #include "trace/emitter.hh"
@@ -153,33 +156,156 @@ TEST(TimingModelCrossDiff, StreamInvariantsOnSeededKernelTraces)
     }
 }
 
-TEST(TimingModelCrossDiff, BatchedMixedGroupMatchesPerCell)
+namespace {
+
+/// @p cfg with its backend and predictor geometry replaced.
+CoreConfig
+withModel(CoreConfig cfg, const std::string &model, int bpredLog2 = 12)
 {
-    // A mixed-model group routes through the generic multiplexer;
-    // per-cell results must be bit-identical to standalone models.
-    auto records =
-        kernelRecords({KernelId::Sad, 16, false}, Variant::Unaligned, 2);
-    std::vector<CoreConfig> cfgs;
-    for (int p = 0; p < 3; ++p) {
-        CoreConfig cfg = CoreConfig::preset(p);
-        cfg.model = (p % 2 == 0) ? "ooo" : "pipeline";
-        cfgs.push_back(cfg);
-    }
-    auto batch = timing::makeBatchedTimingModel(cfgs);
-    EXPECT_EQ(batch->cellCount(), 3);
-    batch->appendBlock(records.data(), records.size());
-    auto got = batch->finalizeAll();
-    ASSERT_EQ(got.size(), cfgs.size());
+    cfg.model = model;
+    cfg.bpredLog2Entries = bpredLog2;
+    return cfg;
+}
+
+/// Every cell of @p got must equal a standalone makeTimingModel() of
+/// its config over @p records, over the full simResultFields() table.
+void
+expectMatchesStandalone(const std::vector<CoreConfig> &cfgs,
+                        const std::vector<timing::SimResult> &got,
+                        const std::vector<InstrRecord> &records,
+                        const std::string &label)
+{
+    ASSERT_EQ(got.size(), cfgs.size()) << label;
     for (std::size_t i = 0; i < cfgs.size(); ++i) {
         auto sim = timing::makeTimingModel(cfgs[i]);
         sim->appendBlock(records.data(), records.size());
-        auto want = sim->finalize();
-        EXPECT_EQ(want.core, got[i].core);
+        const auto want = sim->finalize();
+        EXPECT_EQ(want.core, got[i].core) << label << " cell " << i;
         for (const auto &f : core::simResultFields())
             EXPECT_EQ(want.*(f.member), got[i].*(f.member))
-                << cfgs[i].model << " cell " << i << ": counter "
-                << f.name;
+                << label << ": " << cfgs[i].model << " cell " << i
+                << ": counter " << f.name;
     }
+}
+
+} // namespace
+
+TEST(TimingModelCrossDiff, BatchedMixedGroupMatchesPerCell)
+{
+    // makeBatchedTimingModel splits a group by engine: "pipeline"
+    // cells go to one BatchedPipelineSim per predictor geometry, every
+    // other cell to its own model. Whatever the group's shape, each
+    // cell must be bit-identical to its standalone model, in
+    // constructor order.
+    auto records =
+        kernelRecords({KernelId::Idct, 4, false}, Variant::Unaligned, 4);
+    ASSERT_GT(records.size(), 512u);  // spans several 256-rec chunks
+    // The two predictor geometries below must disagree on this trace,
+    // or a group that mixed them up would go unseen.
+    CoreConfig tinyPredictor = CoreConfig::preset(0);
+    tinyPredictor.bpredLog2Entries = 2;
+    ASSERT_NE(runModel("pipeline", tinyPredictor, records).mispredicts,
+              runModel("pipeline", CoreConfig::preset(0), records)
+                  .mispredicts);
+
+    struct Shape {
+        std::string name;
+        std::vector<CoreConfig> cfgs;
+    };
+    std::vector<Shape> shapes;
+
+    // Fig 9: pipeline x 5 unaligned-load latencies, then ooo x 5.
+    {
+        Shape fig9{"fig9", {}};
+        for (const std::string model : {"pipeline", "ooo"}) {
+            for (int extra : {0, 1, 2, 4, 6}) {
+                CoreConfig cfg = withModel(CoreConfig::fourWayOoO(), model);
+                cfg.lat.unalignedLoadExtra = extra;
+                fig9.cfgs.push_back(cfg);
+            }
+        }
+        shapes.push_back(fig9);
+    }
+    {
+        Shape s{"interleaved-backends", {}};
+        for (int i = 0; i < 6; ++i)
+            s.cfgs.push_back(withModel(CoreConfig::preset(i % 3),
+                                       (i % 2) ? "ooo" : "pipeline"));
+        shapes.push_back(s);
+    }
+    {
+        Shape s{"interleaved-geometries", {}};
+        for (int i = 0; i < 5; ++i)
+            s.cfgs.push_back(withModel(CoreConfig::preset(i % 3),
+                                       "pipeline", (i % 2) ? 2 : 12));
+        shapes.push_back(s);
+    }
+    {
+        const CoreConfig p = withModel(CoreConfig::eightWayOoO(), "pipeline");
+        const CoreConfig o = withModel(CoreConfig::eightWayOoO(), "ooo");
+        shapes.push_back({"duplicates", {p, o, p, p, o}});
+    }
+    {
+        Shape s{"ooo-only", {}};
+        for (int p = 0; p < 3; ++p)
+            s.cfgs.push_back(withModel(CoreConfig::preset(p), "ooo"));
+        shapes.push_back(s);
+    }
+    {
+        Shape s{"one-pipeline-among-ooo", {}};
+        for (int p = 0; p < 3; ++p)
+            s.cfgs.push_back(withModel(CoreConfig::preset(p),
+                                       p == 1 ? "pipeline" : "ooo"));
+        shapes.push_back(s);
+    }
+
+    for (const Shape &shape : shapes) {
+        auto blockWise = timing::makeBatchedTimingModel(shape.cfgs);
+        EXPECT_EQ(blockWise->cellCount(), int(shape.cfgs.size()))
+            << shape.name;
+        blockWise->appendBlock(records.data(), records.size());
+        const auto got = blockWise->finalizeAll();
+        expectMatchesStandalone(shape.cfgs, got, records,
+                                shape.name + " appendBlock");
+        expectMatchesStandalone(shape.cfgs, blockWise->finalizeAll(),
+                                records,
+                                shape.name + " second finalizeAll");
+
+        auto oneByOne = timing::makeBatchedTimingModel(shape.cfgs);
+        for (const auto &rec : records)
+            oneByOne->append(rec);
+        expectMatchesStandalone(shape.cfgs, oneByOne->finalizeAll(),
+                                records, shape.name + " append");
+    }
+}
+
+TEST(TimingModelFactory, UniformPipelineGroupGetsTheBatchedEngine)
+{
+    // One batched part covering every cell is handed out as the
+    // BatchedPipelineSim itself; a group that needs a split is not.
+    std::vector<CoreConfig> uniform;
+    for (int p = 0; p < 3; ++p)
+        uniform.push_back(withModel(CoreConfig::preset(p), "pipeline"));
+    auto batch = timing::makeBatchedTimingModel(uniform);
+    EXPECT_NE(dynamic_cast<timing::BatchedPipelineSim *>(batch.get()),
+              nullptr);
+    EXPECT_EQ(batch->cellCount(), 3);
+
+    auto mixedModels = uniform;
+    mixedModels[1].model = "ooo";
+    auto mixedGeometry = uniform;
+    mixedGeometry[2].bpredLog2Entries = 2;
+    for (const auto &cfgs : {mixedModels, mixedGeometry}) {
+        auto split = timing::makeBatchedTimingModel(cfgs);
+        EXPECT_EQ(dynamic_cast<timing::BatchedPipelineSim *>(split.get()),
+                  nullptr);
+        EXPECT_EQ(split->cellCount(), 3);
+    }
+
+    // A bad config in any part is rejected by the factory.
+    mixedModels[0].bpredLog2Entries = 31;
+    EXPECT_THROW((void)timing::makeBatchedTimingModel(mixedModels),
+                 std::invalid_argument);
 }
 
 TEST(TimingModelCrossDiff, SweepRunnerThreadsAndStore)
