@@ -13,8 +13,6 @@
 #include <sys/mman.h>
 #endif
 
-#include "trace/simd_decode.hh"
-
 namespace uasim::trace {
 
 namespace wire {
@@ -51,6 +49,63 @@ getLe64(const std::uint8_t *p)
     for (int i = 0; i < 8; ++i)
         v |= std::uint64_t{p[i]} << (8 * i);
     return v;
+}
+
+[[noreturn]] void
+throwTruncated()
+{
+    throw std::runtime_error("trace payload truncated mid-record");
+}
+
+constexpr auto numClassBytes =
+    static_cast<std::uint8_t>(InstrClass::NumClasses);
+constexpr auto branchByte = static_cast<std::uint8_t>(InstrClass::Branch);
+
+/// The error for a tag byte decodeTag() rejects (kept out of line so
+/// the per-record path stays small).
+[[noreturn]] void
+throwBadTag(std::uint8_t tag)
+{
+    const std::uint8_t cls = tag & 0x7f;
+    if (cls >= numClassBytes)
+        throw std::runtime_error(
+            "invalid instruction class byte " + std::to_string(cls) +
+            " in trace payload");
+    throw std::runtime_error(
+        "taken flag set on non-branch record in trace payload");
+}
+
+/// Validate a record's tag byte and set its class and taken flag.
+inline void
+decodeTag(std::uint8_t tag, InstrRecord &rec)
+{
+    const std::uint8_t cls = tag & 0x7f;
+    if (cls >= numClassBytes || ((tag & 0x80) && cls != branchByte))
+        throwBadTag(tag);
+    rec.cls = static_cast<InstrClass>(cls);
+    rec.taken = (tag & 0x80) != 0;
+}
+
+/**
+ * Varint read without end-of-buffer checks: the caller guarantees at
+ * least 10 readable bytes. Consumes exactly the bytes getVarint()
+ * would and applies the same over-long (> 10 byte) rule, so the two
+ * are interchangeable wherever the guarantee holds.
+ */
+bool
+getVarintUnchecked(const std::uint8_t *&p, std::uint64_t &v)
+{
+    std::uint64_t byte = *p++;
+    v = byte & 0x7f;
+    int shift = 7;
+    while (byte & 0x80) {
+        if (shift >= 70)
+            return false;  // over-long encoding
+        byte = *p++;
+        v |= (byte & 0x7f) << shift;
+        shift += 7;
+    }
+    return true;
 }
 
 } // namespace
@@ -146,40 +201,26 @@ void
 RecordDecoder::decode(const std::uint8_t *&p, const std::uint8_t *end,
                       InstrRecord &rec)
 {
-    auto truncated = [] {
-        throw std::runtime_error(
-            "trace payload truncated mid-record");
-    };
     if (p == end)
-        truncated();
-    const std::uint8_t tag = *p++;
-    const std::uint8_t cls = tag & 0x7f;
-    if (cls >= static_cast<std::uint8_t>(InstrClass::NumClasses))
-        throw std::runtime_error(
-            "invalid instruction class byte " + std::to_string(cls) +
-            " in trace payload");
-    rec.cls = static_cast<InstrClass>(cls);
-    if ((tag & 0x80) && rec.cls != InstrClass::Branch)
-        throw std::runtime_error(
-            "taken flag set on non-branch record in trace payload");
-    rec.taken = (tag & 0x80) != 0;
+        throwTruncated();
+    decodeTag(*p++, rec);
 
     std::uint64_t v;
     if (!getVarint(p, end, v))
-        truncated();
-    rec.id = st_.prevId + std::uint64_t(unzigzag(v));
-    st_.prevId = rec.id;
+        throwTruncated();
+    rec.id = prevId_ + std::uint64_t(unzigzag(v));
+    prevId_ = rec.id;
     if (!getVarint(p, end, v))
-        truncated();
-    rec.pc = st_.prevPc + std::uint64_t(unzigzag(v));
-    st_.prevPc = rec.pc;
+        throwTruncated();
+    rec.pc = prevPc_ + std::uint64_t(unzigzag(v));
+    prevPc_ = rec.pc;
     if (isMemClass(rec.cls)) {
         if (!getVarint(p, end, v))
-            truncated();
-        rec.addr = st_.prevAddr + std::uint64_t(unzigzag(v));
-        st_.prevAddr = rec.addr;
+            throwTruncated();
+        rec.addr = prevAddr_ + std::uint64_t(unzigzag(v));
+        prevAddr_ = rec.addr;
         if (p == end)
-            truncated();
+            throwTruncated();
         rec.size = *p++;
     } else {
         rec.addr = 0;
@@ -187,7 +228,7 @@ RecordDecoder::decode(const std::uint8_t *&p, const std::uint8_t *end,
     }
     for (auto &dep : rec.deps) {
         if (!getVarint(p, end, v))
-            truncated();
+            throwTruncated();
         dep = v ? rec.id - std::uint64_t(unzigzag(v - 1)) : 0;
     }
 }
@@ -197,16 +238,44 @@ RecordDecoder::decodeBlock(const std::uint8_t *&p,
                            const std::uint8_t *end, InstrRecord *out,
                            std::size_t maxRecords)
 {
-    // Fast region: while at least maxRecordBytes remain every field
-    // of a record is readable without bounds checks, so the run is
-    // delegated to the runtime-dispatched kernel (scalar fallback
-    // included - see trace/simd_decode.hh).
-    std::size_t n = simd::decodeRun(p, end, out, maxRecords, st_);
-    // Checked scalar path once a record could cross the end.
-    while (n < maxRecords && p != end) {
-        decode(p, end, out[n]);
-        ++n;
+    std::size_t n = 0;
+    // Fast region: every field of one record is readable without
+    // bounds checks (maxRecordBytes is the hard per-record upper
+    // bound). Same field order, same validation, same errors as
+    // decode().
+    for (; n < maxRecords && std::size_t(end - p) >= maxRecordBytes;
+         ++n) {
+        InstrRecord &rec = out[n];
+        decodeTag(*p++, rec);
+
+        std::uint64_t v;
+        if (!getVarintUnchecked(p, v))
+            throwTruncated();
+        rec.id = prevId_ + std::uint64_t(unzigzag(v));
+        prevId_ = rec.id;
+        if (!getVarintUnchecked(p, v))
+            throwTruncated();
+        rec.pc = prevPc_ + std::uint64_t(unzigzag(v));
+        prevPc_ = rec.pc;
+        if (isMemClass(rec.cls)) {
+            if (!getVarintUnchecked(p, v))
+                throwTruncated();
+            rec.addr = prevAddr_ + std::uint64_t(unzigzag(v));
+            prevAddr_ = rec.addr;
+            rec.size = *p++;
+        } else {
+            rec.addr = 0;
+            rec.size = 0;
+        }
+        for (auto &dep : rec.deps) {
+            if (!getVarintUnchecked(p, v))
+                throwTruncated();
+            dep = v ? rec.id - std::uint64_t(unzigzag(v - 1)) : 0;
+        }
     }
+    // Checked path once a record could cross the end.
+    for (; n < maxRecords && p != end; ++n)
+        decode(p, end, out[n]);
     return n;
 }
 

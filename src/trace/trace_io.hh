@@ -145,18 +145,6 @@ class RecordEncoder
     std::uint64_t prevAddr_ = 0;
 };
 
-/**
- * Cross-record delta state of the decoder: the running previous value
- * of each delta-encoded lane. Split out of RecordDecoder so the
- * runtime-dispatched block decoders (trace/simd_decode.hh) can thread
- * the exact same state through their fast paths.
- */
-struct DecodeState {
-    std::uint64_t prevId = 0;
-    std::uint64_t prevPc = 0;
-    std::uint64_t prevAddr = 0;
-};
-
 /// Stateful decoder matching RecordEncoder.
 class RecordDecoder
 {
@@ -173,12 +161,10 @@ class RecordDecoder
      * Decode up to @p maxRecords records from [@p p, @p end) into
      * @p out, advancing @p p. Records are decoded on an unchecked
      * fast path while at least maxRecordBytes remain (no per-field
-     * bounds checks; the path is SIMD-accelerated when the host
-     * supports it, see trace/simd_decode.hh), falling back to the
-     * checked scalar path near the end of the buffer, so the result
-     * is byte-for-byte identical to @p maxRecords decode() calls -
-     * including every error case (trace_io_test and simd_decode_test
-     * lock the equivalence property across every dispatch tier).
+     * bounds checks), then by decode() near the end of the buffer,
+     * so the result is byte-for-byte identical to @p maxRecords
+     * decode() calls - including every error case (trace_io_test
+     * locks the equivalence property).
      *
      * @return the number of records decoded; less than @p maxRecords
      * only when the buffer ended cleanly on a record boundary.
@@ -189,7 +175,9 @@ class RecordDecoder
                             std::size_t maxRecords);
 
   private:
-    DecodeState st_;
+    std::uint64_t prevId_ = 0;
+    std::uint64_t prevPc_ = 0;
+    std::uint64_t prevAddr_ = 0;
 };
 
 } // namespace wire

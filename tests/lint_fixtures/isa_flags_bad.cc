@@ -1,7 +1,6 @@
-// Known-bad [isa-flags]: an intrinsics header and vector intrinsics
-// outside the designated src/trace/simd_decode_* tier TUs (scanned
-// --as src/core/fixture_isa.cc). The identical bytes scanned --as a
-// designated TU path are the matching known-good case.
+// Known-bad [isa-flags]: an intrinsics header and vector intrinsics.
+// The rule has no exempt paths, so these bytes are findings under any
+// --as path (lint_test scans them as a src/core and a src/trace TU).
 
 #include <immintrin.h>
 

@@ -186,14 +186,16 @@ TEST(LintTool, IsaFlags)
     EXPECT_EQ(countOf(bad.out, "[isa-flags]"), 3);
     EXPECT_NE(bad.out.find("intrinsic"), std::string::npos);
 
-    // Identical bytes under a designated decode-tier vpath are fine.
-    const RunResult designated =
+    // No path is exempt, including the prefix the removed SIMD
+    // decode-tier TUs once had to themselves.
+    const RunResult formerTier =
         run(lint("--as src/trace/simd_decode_fx.cc " +
                  fixture("isa_flags_bad.cc")));
-    EXPECT_EQ(designated.exit, 0) << designated.out;
+    EXPECT_EQ(formerTier.exit, 1) << formerTier.out;
+    EXPECT_EQ(countOf(formerTier.out, "[isa-flags]"), 3);
 
-    // -m ISA compile flags outside a designated TU are findings even
-    // when the source itself is clean...
+    // -m ISA compile flags are findings even when the source itself
+    // is clean...
     const RunResult flags =
         run(lint("--flags \"-mavx2 -O2\" --as src/core/fx_isa2.cc " +
                  fixture("checked_io_good.cc")));
@@ -201,11 +203,12 @@ TEST(LintTool, IsaFlags)
     EXPECT_EQ(countOf(flags.out, "[isa-flags]"), 1);
     EXPECT_NE(flags.out.find("-mavx2"), std::string::npos);
 
-    // ...and accepted on the designated tier TUs.
+    // ...there too.
     const RunResult tierFlags = run(
         lint("--flags \"-mavx2 -O2\" --as src/trace/simd_decode_fx.cc " +
              fixture("checked_io_good.cc")));
-    EXPECT_EQ(tierFlags.exit, 0) << tierFlags.out;
+    EXPECT_EQ(tierFlags.exit, 1) << tierFlags.out;
+    EXPECT_EQ(countOf(tierFlags.out, "[isa-flags]"), 1);
 }
 
 TEST(LintTool, SuppressionSyntax)

@@ -24,11 +24,11 @@
  *                    exceptions - wall-clock feeding the *Seconds
  *                    informational stats - carry a visible
  *                    suppression comment.
- *   isa-flags        vector intrinsics and -m ISA compile flags only
- *                    in the designated per-tier decode TUs
- *                    (src/trace/simd_decode_*.cc), so no other TU
- *                    can silently require a wider ISA than the
- *                    runtime dispatcher promises.
+ *   isa-flags        no vector intrinsics, intrinsics headers or -m
+ *                    ISA compile flags in any TU: the library and
+ *                    its tools build for the baseline ISA
+ *                    everywhere, so no TU can silently require a
+ *                    wider ISA than the host it runs on.
  *   checked-io       no discarded fwrite/fread/fseek/fflush/fclose/
  *                    mmap/munmap/madvise return values in src/trace
  *                    (the PR 3 checked-I/O-only rule). An explicit
@@ -466,21 +466,14 @@ Linter::checkSimDeterminism(const Source &src)
 // isa-flags
 // ---------------------------------------------------------------------------
 
-bool
-isDesignatedSimdTU(const std::string &vpath)
-{
-    return vpath.rfind("src/trace/simd_decode_", 0) == 0;
-}
-
 void
 Linter::checkIsaFlags(const Source &src)
 {
-    if (!ruleEnabled("isa-flags") || isDesignatedSimdTU(src.vpath))
+    if (!ruleEnabled("isa-flags"))
         return;
 
     // Per-TU compile flags (compile-db or --flags): any -m ISA flag
-    // outside the designated tier TUs makes the whole binary require
-    // that ISA, defeating the runtime dispatcher.
+    // makes the whole binary require that ISA.
     if (!src.flags.empty()) {
         std::stringstream ss(src.flags);
         std::string tok;
@@ -488,8 +481,7 @@ Linter::checkIsaFlags(const Source &src)
             if (tok.size() > 2 && tok[0] == '-' && tok[1] == 'm') {
                 addFinding(src, 1, "isa-flags",
                            "ISA compile flag " + tok +
-                               " outside the designated "
-                               "src/trace/simd_decode_* tier TUs");
+                               " (baseline ISA everywhere)");
             }
         }
     }
@@ -500,8 +492,8 @@ Linter::checkIsaFlags(const Source &src)
         std::size_t at = 0;
         while ((at = text.find(inc, at)) != std::string::npos) {
             addFinding(src, src.lineOf(at), "isa-flags",
-                       "vector-intrinsics header include outside the "
-                       "designated src/trace/simd_decode_* tier TUs");
+                       "vector-intrinsics header include (baseline "
+                       "ISA everywhere)");
             at += std::strlen(inc);
         }
     }
@@ -518,8 +510,7 @@ Linter::checkIsaFlags(const Source &src)
                 if (flagged.insert(line).second) {
                     addFinding(src, line, "isa-flags",
                                "vector intrinsic (" + p +
-                                   "...) outside the designated "
-                                   "src/trace/simd_decode_* tier TUs");
+                                   "...) (baseline ISA everywhere)");
                 }
             }
             at += p.size();
