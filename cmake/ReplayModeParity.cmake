@@ -15,20 +15,24 @@
 # differ between modes and thread counts).
 #
 # Usage: cmake -DBENCH=<binary> -DREPORT=<uasim-report> -DWORK=<dir>
-#              -P ReplayModeParity.cmake
+#              [-DEXTRA_ARGS="<bench flags>"] -P ReplayModeParity.cmake
+#
+# EXTRA_ARGS (space-separated) is passed to every run, e.g.
+# "--timing-model ooo" to gate the batched engine's "ooo" cells.
 
 foreach(var BENCH REPORT WORK)
     if(NOT ${var})
         message(FATAL_ERROR "ReplayModeParity.cmake: pass -D${var}=...")
     endif()
 endforeach()
+separate_arguments(extra_args UNIX_COMMAND "${EXTRA_ARGS}")
 
 file(REMOVE_RECURSE ${WORK})
 file(MAKE_DIRECTORY ${WORK})
 
 function(run_bench label out_var)
     execute_process(
-        COMMAND ${BENCH} --quick ${ARGN}
+        COMMAND ${BENCH} --quick ${extra_args} ${ARGN}
                 --json ${WORK}/${label}.json
         OUTPUT_VARIABLE out
         RESULT_VARIABLE rc)
@@ -75,7 +79,7 @@ endforeach()
 
 # An unknown mode name must be fatal, like every malformed bench flag.
 execute_process(
-    COMMAND ${BENCH} --quick --replay-mode garbage
+    COMMAND ${BENCH} --quick ${extra_args} --replay-mode garbage
     OUTPUT_VARIABLE ignored
     ERROR_VARIABLE ignored_err
     RESULT_VARIABLE rc_bad)

@@ -88,10 +88,9 @@ struct SweepCell {
  * How a multi-timing-cell trace group is replayed.
  *
  * Batched (the default) advances every cell of the group from one
- * pass over the record stream (timing::makeBatchedTimingModel): all
- * "pipeline" cells run on the shared-window BatchedPipelineSim (one
- * per predictor geometry), even in a group that mixes backends, and
- * every other cell on its own model fed from the same pass. PerCell
+ * pass over the record stream (timing::makeBatchedTimingModel): every
+ * cell, "pipeline" or "ooo", runs on the shared-window
+ * BatchedPipelineSim (one per predictor geometry). PerCell
  * re-walks the buffer once per cell with a standalone per-cell model
  * (timing::makeTimingModel).
  * The two are bit-identical in every simulated field

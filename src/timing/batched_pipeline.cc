@@ -22,11 +22,11 @@ checkedGeometry(const std::vector<CoreConfig> &cfgs)
     // anything from it (the shared predictor table, any cell).
     for (const auto &cfg : cfgs) {
         cfg.validate();
-        if (cfg.model != "pipeline") {
+        if (cfg.model != "pipeline" && cfg.model != "ooo") {
             throw std::invalid_argument(
                 "BatchedPipelineSim: cell \"" + cfg.name +
                 "\" has model \"" + cfg.model +
-                "\", not \"pipeline\"");
+                "\", not \"pipeline\" or \"ooo\"");
         }
         if (cfg.bpredLog2Entries != cfgs.front().bpredLog2Entries) {
             throw std::invalid_argument(
@@ -41,8 +41,13 @@ checkedGeometry(const std::vector<CoreConfig> &cfgs)
 } // namespace
 
 BatchedPipelineSim::Cell::Cell(const CoreConfig &config)
-    : cfg(config), mem(config.mem)
+    : cfg(config), mem(config.mem),
+      issueWidth(config.model == "ooo" && config.issueWidth > 0
+                     ? config.issueWidth
+                     : config.fetchWidth)
 {
+    if (cfg.model == "ooo")
+        storeSets.emplace(cfg.storeSetLog2);
     res.core = cfg.name;
     storeQ.reserve(cfg.storeQ);
     mshr.reserve(cfg.missMax);
@@ -79,18 +84,6 @@ BatchedPipelineSim::BatchedPipelineSim(const std::vector<CoreConfig> &cfgs)
     winMask_ = window_.size() - 1;
 }
 
-int
-BatchedPipelineSim::Cell::renameLimit(RegFile rf) const
-{
-    // 32 architected registers are always allocated; the rest rename.
-    switch (rf) {
-      case RegFile::GPR: return std::max(1, cfg.gprPhys - 32);
-      case RegFile::FPR: return std::max(1, cfg.fprPhys - 32);
-      case RegFile::VPR: return std::max(1, cfg.vprPhys - 32);
-      default: return 1 << 30;
-    }
-}
-
 int *
 BatchedPipelineSim::Cell::renameCounter(RegFile rf)
 {
@@ -99,21 +92,6 @@ BatchedPipelineSim::Cell::renameCounter(RegFile rf)
       case RegFile::FPR: return &fprInflight;
       case RegFile::VPR: return &vprInflight;
       default: return nullptr;
-    }
-}
-
-int
-BatchedPipelineSim::Cell::classLatency(InstrClass cls) const
-{
-    switch (cls) {
-      case InstrClass::IntAlu:     return cfg.lat.intAlu;
-      case InstrClass::IntMul:     return cfg.lat.intMul;
-      case InstrClass::FpAlu:      return cfg.lat.fpAlu;
-      case InstrClass::Branch:     return cfg.lat.branchResolve;
-      case InstrClass::VecSimple:  return cfg.lat.vecSimple;
-      case InstrClass::VecComplex: return cfg.lat.vecComplex;
-      case InstrClass::VecPerm:    return cfg.lat.vecPerm;
-      default:                     return 1;
     }
 }
 
@@ -213,7 +191,7 @@ BatchedPipelineSim::cycleCell(Cell &cell)
     cell.unitTokens[int(Unit::VCMPLX)] = cell.cfg.units.vcmplx;
     cell.readPorts = cell.cfg.dReadPorts;
     cell.writePorts = cell.cfg.dWritePorts;
-    cell.issueTokens = cell.cfg.fetchWidth;
+    cell.issueTokens = cell.issueWidth;
 
     // Release completed misses.
     if (!cell.mshr.empty()) {
@@ -236,7 +214,7 @@ BatchedPipelineSim::cycleCell(Cell &cell)
     // budget after all four stages means nothing issued this cycle.
     if (preRetire == cell.retirePos && preDispatch == cell.dispatchPos &&
         preFetch == cell.fetchPos && preStall == cell.fetchStallUntil &&
-        cell.issueTokens == cell.cfg.fetchWidth) {
+        cell.issueTokens == cell.issueWidth) {
         idleJump(cell);
     }
 }
@@ -409,7 +387,14 @@ BatchedPipelineSim::tryIssue(Cell &cell, std::uint64_t seq)
                 forwarder = nullptr;
             }
         }
-        if (blocker) {
+        if (blocker && cell.storeSets) {
+            // "ooo": a trained load waits for the drain, an untrained
+            // one speculates past the store below. The wait keeps the
+            // now + 1 bound: the verdict reads the SSIT, which another
+            // load's violation can retrain in any cycle that issues.
+            if (cell.storeSets->predictsDependence(rec.pc, blocker->pc))
+                return false;
+        } else if (blocker) {
             // The classification of this load is decided by the last
             // overlapping older store, and drains (front-first) never
             // remove it before it issues - so the earliest the
@@ -456,10 +441,12 @@ BatchedPipelineSim::tryIssue(Cell &cell, std::uint64_t seq)
             if (would_miss &&
                 cell.mshr.size() >=
                     static_cast<std::size_t>(cell.cfg.missMax)) {
-                // Only a full MSHR file blocks this load (no older
-                // overlapping store reached this far): idle-stable,
-                // so it does not veto an idle jump.
-                slot.wake = wakeMshrFull;
+                // Only a full MSHR file blocks this load: idle-stable,
+                // so it does not veto an idle jump. A speculating
+                // "ooo" load keeps now + 1 instead - its blocker can
+                // turn into a forwarder at fwdReady, no MSHR needed.
+                if (!blocker)
+                    slot.wake = wakeMshrFull;
                 return false;
             }
             auto acc = cell.mem.dataAccess(rec.addr, rec.size, false,
@@ -472,6 +459,12 @@ BatchedPipelineSim::tryIssue(Cell &cell, std::uint64_t seq)
             }
             if (acc.l1Miss)
                 cell.mshr.push_back(cell.now + cell.cfg.lat.load + extra);
+            if (blocker) {
+                // "ooo" ordering violation taken, as in OoOPipelineSim:
+                // train the pair and charge the replay cost.
+                cell.storeSets->train(rec.pc, blocker->pc);
+                extra += cell.cfg.memReplayPenalty;
+            }
         }
         if (runtime_unaligned) {
             ++cell.res.unalignedVecOps;
@@ -509,7 +502,7 @@ BatchedPipelineSim::tryIssue(Cell &cell, std::uint64_t seq)
                 cell.haltBranchId = 0;
         }
     } else {
-        slot.readyCycle = cell.now + cell.classLatency(rec.cls);
+        slot.readyCycle = cell.now + cell.cfg.classLatency(rec.cls);
     }
 
     --cell.unitTokens[unit];
@@ -533,7 +526,9 @@ BatchedPipelineSim::issueStage(Cell &cell)
     const std::size_t n = waiting.size();
     std::size_t keep = 0;
     std::size_t i = 0;
-    if (cell.cfg.outOfOrder) {
+    if (cell.cfg.outOfOrder || cell.storeSets) {
+        // Fully out of order: "pipeline" OoO cores and every "ooo"
+        // cell (which ignores outOfOrder/inorderLookahead).
         for (; i < n; ++i) {
             if (cell.issueTokens <= 0)
                 break;
@@ -591,7 +586,7 @@ BatchedPipelineSim::dispatchStage(Cell &cell)
             break;
         RegFile rf = destRegFile(rec.cls);
         int *ctr = cell.renameCounter(rf);
-        if (ctr && *ctr >= cell.renameLimit(rf))
+        if (ctr && *ctr >= cell.cfg.renameLimit(rf))
             break;
         if (rec.isStore()) {
             if (cell.storeQ.size() >=
@@ -600,6 +595,7 @@ BatchedPipelineSim::dispatchStage(Cell &cell)
             }
             StoreEntry se;
             se.id = rec.id;
+            se.pc = rec.pc;
             se.addr = rec.addr;
             se.size = rec.size;
             cell.storeQ.push_back(se);

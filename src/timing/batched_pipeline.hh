@@ -6,13 +6,35 @@
  * A BatchedPipelineSim holds one machine state per CoreConfig of a
  * sweep group and consumes the instruction stream exactly once,
  * instead of the per-cell path's one full replay per configuration.
- * Every cell's simulated counters are bit-identical to feeding the
- * same stream into a standalone PipelineSim with the same config
- * (tests/batched_replay_test.cc is the differential harness that
- * locks this cell for cell; the per-cell path stays available as the
- * reference oracle behind SweepRunner's ReplayMode::PerCell).
+ * It is the batched engine of both registered backends: a cell runs
+ * the "pipeline" or the "ooo" issue policy by its CoreConfig::model,
+ * and every cell's simulated counters are bit-identical to feeding
+ * the same stream into a standalone makeTimingModel() of its config -
+ * PipelineSim or OoOPipelineSim (tests/batched_replay_test.cc is the
+ * differential harness that locks this cell for cell; the per-cell
+ * models stay available as the reference oracles behind
+ * SweepRunner's ReplayMode::PerCell).
  *
- * Why it is faster than N PipelineSims, while staying bit-identical:
+ * An "ooo" cell shares all the machinery below and differs from a
+ * "pipeline" cell in exactly what OoOPipelineSim differs in:
+ *
+ *  - **Scan:** the waiting list is scanned fully out of order, with
+ *    no inorderLookahead bound (outOfOrder is ignored).
+ *  - **Issue width:** issue tokens, and so the idle-cycle check, use
+ *    the resolved issueWidth (0 = fetchWidth).
+ *  - **Store-set prediction:** the cell owns a StoreSetPredictor and
+ *    its store-queue entries carry the store's pc. A load blocked by
+ *    an older overlapping store it cannot forward from either
+ *    speculates (untrained: it goes ahead after the port and MSHR
+ *    checks, trains the pair and pays memReplayPenalty) or waits
+ *    (trained). A trained wait caches no bound - it retries at
+ *    now + 1 - because the verdict reads the SSIT, which another
+ *    load's violation can retrain in any cycle that issues, and a
+ *    speculating load that finds the MSHR file full also retries at
+ *    now + 1 (its blocker may become a forwarder at fwdReady).
+ *
+ * Why it is faster than N standalone models, while staying
+ * bit-identical:
  *
  *  - **Shared record window.** All cells consume the same records in
  *    the same order, and each cell's pending/fetch-buffer/ROB windows
@@ -21,8 +43,8 @@
  *    once in a power-of-two window ring and each cell keeps three
  *    cursors into it, instead of copying every record through three
  *    std::deques per cell.
- *  - **Stream-pure branch prediction.** PipelineSim queries and
- *    trains the gshare predictor exactly once per record, in fetch
+ *  - **Stream-pure branch prediction.** Both backends query and
+ *    train the gshare predictor exactly once per record, in fetch
  *    (= program) order, regardless of cycle timing - so the predicted
  *    direction of every branch is a pure function of the stream. The
  *    batch precomputes one mispredict bit per record with a single
@@ -64,10 +86,10 @@
  *    of now + 1, which forbids the jump (see idleJump()).
  *
  * Field-table rule (core/result.hh): a counter added to SimResult
- * must be accumulated here as well as in PipelineSim, and
- * batched_replay_test compares the two engines over the full
- * simResultFields() table - a counter wired into only one engine
- * fails the harness instead of silently diverging.
+ * must be accumulated here as well as in PipelineSim and
+ * OoOPipelineSim, and batched_replay_test compares the engines over
+ * the full simResultFields() table - a counter wired into only one
+ * engine fails the harness instead of silently diverging.
  */
 
 #ifndef UASIM_TIMING_BATCHED_PIPELINE_HH
@@ -75,6 +97,7 @@
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "mem/hierarchy.hh"
@@ -82,6 +105,7 @@
 #include "timing/config.hh"
 #include "timing/model.hh"
 #include "timing/results.hh"
+#include "timing/store_set.hh"
 #include "trace/sink.hh"
 
 namespace uasim::timing {
@@ -92,11 +116,10 @@ class BatchedPipelineSim : public BatchedTimingModel
     /**
      * One machine state per entry of @p cfgs (duplicates allowed;
      * every cell is simulated independently). Precondition, enforced:
-     * every entry is a valid "pipeline" cell and all share one
-     * bpredLog2Entries (the shared mispredict precompute runs a
+     * every entry is a valid "pipeline" or "ooo" cell and all share
+     * one bpredLog2Entries (the shared mispredict precompute runs a
      * single predictor). makeBatchedTimingModel() splits any other
-     * group, giving each predictor geometry's "pipeline" cells one
-     * BatchedPipelineSim and every other cell its own TimingModel.
+     * group into one BatchedPipelineSim per predictor geometry.
      * @throws std::invalid_argument on a violation, before sizing
      * anything from the configs.
      */
@@ -135,6 +158,7 @@ class BatchedPipelineSim : public BatchedTimingModel
 
     struct StoreEntry {
         std::uint64_t id = 0;
+        std::uint64_t pc = 0;  //!< the "ooo" store-set lookup key
         std::uint64_t addr = 0;
         std::uint64_t fwdReady = 0;
         unsigned size = 0;
@@ -168,6 +192,12 @@ class BatchedPipelineSim : public BatchedTimingModel
 
         CoreConfig cfg;
         mem::MemoryHierarchy mem;
+        /// Per-cycle issue tokens: the resolved issueWidth of an
+        /// "ooo" cell (0 = fetchWidth), fetchWidth for "pipeline".
+        int issueWidth = 1;
+        /// Engaged exactly for "ooo" cells, and so also the cell's
+        /// policy flag: full out-of-order scan, store-set prediction.
+        std::optional<StoreSetPredictor> storeSets;
 
         std::uint64_t now = 0;
         std::uint64_t fed = 0;        //!< records fed to this cell
@@ -205,9 +235,7 @@ class BatchedPipelineSim : public BatchedTimingModel
 
         SimResult res;
 
-        int renameLimit(RegFile rf) const;
         int *renameCounter(RegFile rf);
-        int classLatency(trace::InstrClass cls) const;
 
         std::uint64_t
         readyCycleOf(std::uint64_t id) const

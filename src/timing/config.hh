@@ -7,6 +7,7 @@
 #ifndef UASIM_TIMING_CONFIG_HH
 #define UASIM_TIMING_CONFIG_HH
 
+#include <algorithm>
 #include <string>
 
 #include "mem/hierarchy.hh"
@@ -48,6 +49,9 @@ struct UnitConfig {
     int vperm = 1;   //!< vector permute
     int vcmplx = 1;  //!< vector complex
 };
+
+/// Register file an instruction's destination lives in.
+enum class RegFile { GPR, FPR, VPR, None };
 
 /// One simulated core (one column of Table II).
 struct CoreConfig {
@@ -132,6 +136,40 @@ struct CoreConfig {
         return !mem.parallelBanks && dReadPorts >= 2;
     }
 
+    /// Execution latency of a non-memory class (1 for any class
+    /// without its own lat.* knob). Shared by every backend; inline
+    /// because every issue of every cell calls it.
+    int
+    classLatency(trace::InstrClass cls) const
+    {
+        using IC = trace::InstrClass;
+        switch (cls) {
+          case IC::IntAlu:     return lat.intAlu;
+          case IC::IntMul:     return lat.intMul;
+          case IC::FpAlu:      return lat.fpAlu;
+          case IC::Branch:     return lat.branchResolve;
+          case IC::VecSimple:  return lat.vecSimple;
+          case IC::VecComplex: return lat.vecComplex;
+          case IC::VecPerm:    return lat.vecPerm;
+          default:             return 1;
+        }
+    }
+
+    /// In-flight destination registers @p rf can rename: the physical
+    /// registers beyond the 32 architected ones (at least 1), and no
+    /// limit for RegFile::None. Shared by every backend; inline
+    /// because every dispatch of every cell calls it.
+    int
+    renameLimit(RegFile rf) const
+    {
+        switch (rf) {
+          case RegFile::GPR: return std::max(1, gprPhys - 32);
+          case RegFile::FPR: return std::max(1, fprPhys - 32);
+          case RegFile::VPR: return std::max(1, vprPhys - 32);
+          default: return 1 << 30;
+        }
+    }
+
     /// Table II, 2-way in-order column.
     static CoreConfig twoWayInOrder();
     /// Table II, 4-way out-of-order column.
@@ -151,9 +189,6 @@ constexpr int numUnits = static_cast<int>(Unit::NumUnits);
 
 /// Map an instruction class to the unit that executes it.
 Unit unitFor(trace::InstrClass cls);
-
-/// Register file an instruction's destination lives in.
-enum class RegFile { GPR, FPR, VPR, None };
 
 /// Map an instruction class to its destination register file.
 RegFile destRegFile(trace::InstrClass cls);

@@ -12,48 +12,20 @@ namespace uasim::timing {
 namespace {
 
 /**
- * A group split by engine: the "pipeline" cells run on one
- * BatchedPipelineSim per predictor geometry (its shared mispredict
- * precompute needs a single bpredLog2Entries), in order of first
- * appearance, and every other cell on its own TimingModel. Cells
- * never interact, so each result is bit-identical to its standalone
- * model whichever part runs it.
+ * A group that mixes predictor geometries: one BatchedPipelineSim per
+ * bpredLog2Entries value (its shared mispredict precompute runs a
+ * single predictor), in order of first appearance. Cells never
+ * interact, so each result is bit-identical to its standalone model
+ * whichever part runs it.
  */
 class SplitBatchedModel : public BatchedTimingModel
 {
   public:
-    explicit SplitBatchedModel(const std::vector<CoreConfig> &cfgs)
+    explicit SplitBatchedModel(
+        std::vector<std::unique_ptr<BatchedPipelineSim>> batches,
+        std::vector<std::pair<std::size_t, std::size_t>> route)
+        : batches_(std::move(batches)), route_(std::move(route))
     {
-        std::vector<std::vector<CoreConfig>> batchCfgs;
-        for (const auto &cfg : cfgs) {
-            if (cfg.model != "pipeline") {
-                route_.push_back({-1, singles_.size()});
-                singles_.push_back(makeTimingModel(cfg));
-                continue;
-            }
-            std::size_t b = 0;
-            while (b < batchCfgs.size() &&
-                   batchCfgs[b].front().bpredLog2Entries !=
-                       cfg.bpredLog2Entries)
-                ++b;
-            if (b == batchCfgs.size())
-                batchCfgs.emplace_back();
-            route_.push_back({int(b), batchCfgs[b].size()});
-            batchCfgs[b].push_back(cfg);
-        }
-        batches_.reserve(batchCfgs.size());
-        for (const auto &group : batchCfgs)
-            batches_.push_back(std::make_unique<BatchedPipelineSim>(group));
-    }
-
-    /// The sole batched part when it covers every cell (a uniform
-    /// "pipeline" group), moved out; nullptr otherwise.
-    std::unique_ptr<BatchedTimingModel>
-    takeSoleBatch()
-    {
-        if (batches_.size() != 1 || !singles_.empty())
-            return nullptr;
-        return std::move(batches_.front());
     }
 
     void
@@ -67,8 +39,6 @@ class SplitBatchedModel : public BatchedTimingModel
     {
         for (auto &batch : batches_)
             batch->appendBlock(recs, n);
-        for (auto &cell : singles_)
-            cell->appendBlock(recs, n);
     }
 
     std::vector<SimResult>
@@ -80,27 +50,17 @@ class SplitBatchedModel : public BatchedTimingModel
             batched.push_back(batch->finalizeAll());
         std::vector<SimResult> out;
         out.reserve(route_.size());
-        for (const Route &r : route_) {
-            out.push_back(r.batch < 0
-                              ? singles_[r.index]->finalize()
-                              : batched[std::size_t(r.batch)][r.index]);
-        }
+        for (const auto &[batch, index] : route_)
+            out.push_back(batched[batch][index]);
         return out;
     }
 
     int cellCount() const override { return int(route_.size()); }
 
   private:
-    /// Where one cell runs: batched part @c batch, or its own model
-    /// in singles_ when @c batch is -1; @c index within that part.
-    struct Route {
-        int batch;
-        std::size_t index;
-    };
-
-    std::vector<Route> route_;  //!< one per cell, constructor order
     std::vector<std::unique_ptr<BatchedPipelineSim>> batches_;
-    std::vector<std::unique_ptr<TimingModel>> singles_;
+    /// Per cell, constructor order: (batch, index within it).
+    std::vector<std::pair<std::size_t, std::size_t>> route_;
 };
 
 } // namespace
@@ -136,11 +96,29 @@ makeTimingModel(const CoreConfig &cfg)
 std::unique_ptr<BatchedTimingModel>
 makeBatchedTimingModel(const std::vector<CoreConfig> &cfgs)
 {
-    // An unknown model name throws from makeTimingModel().
-    auto split = std::make_unique<SplitBatchedModel>(cfgs);
-    if (auto whole = split->takeSoleBatch())
-        return whole;
-    return split;
+    std::vector<std::vector<CoreConfig>> groups;
+    std::vector<std::pair<std::size_t, std::size_t>> route;
+    route.reserve(cfgs.size());
+    for (const auto &cfg : cfgs) {
+        std::size_t b = 0;
+        while (b < groups.size() &&
+               groups[b].front().bpredLog2Entries != cfg.bpredLog2Entries)
+            ++b;
+        if (b == groups.size())
+            groups.emplace_back();
+        route.emplace_back(b, groups[b].size());
+        groups[b].push_back(cfg);
+    }
+    // Each BatchedPipelineSim validates its cells and rejects an
+    // unknown model name.
+    std::vector<std::unique_ptr<BatchedPipelineSim>> batches;
+    batches.reserve(groups.size());
+    for (const auto &group : groups)
+        batches.push_back(std::make_unique<BatchedPipelineSim>(group));
+    if (batches.size() == 1)
+        return std::move(batches.front());
+    return std::make_unique<SplitBatchedModel>(std::move(batches),
+                                               std::move(route));
 }
 
 } // namespace uasim::timing

@@ -12,12 +12,12 @@
  * CoreConfig::model and the makeTimingModel()/makeBatchedTimingModel()
  * factories, never by naming a concrete simulator class.
  *
- * Backends:
+ * Backends (makeTimingModel() builds the standalone model named
+ * first; every cell of a batched group, of either backend, runs on
+ * BatchedPipelineSim, timing/batched_pipeline.hh, as a per-cell issue
+ * policy of that one engine):
  *   "pipeline"  PipelineSim (timing/pipeline.hh) - the Turandot-like
- *               in-flight-window model of the paper's Table II runs,
- *               with BatchedPipelineSim as its one-pass multi-cell
- *               engine: every "pipeline" cell of a batched group runs
- *               on it, whatever the group's other cells are.
+ *               in-flight-window model of the paper's Table II runs.
  *   "ooo"       OoOPipelineSim (timing/ooo_pipeline.hh) - an
  *               out-of-order core with a ROB/issue-queue split, a
  *               store-set memory-dependence predictor, and a
@@ -96,14 +96,13 @@ std::unique_ptr<TimingModel> makeTimingModel(const CoreConfig &cfg);
 
 /**
  * Construct a batched engine for @p cfgs (one cell per entry;
- * duplicates allowed). The group is split by engine: the "pipeline"
- * cells that share a bpredLog2Entries run on one BatchedPipelineSim
- * (one instance per distinct geometry, in order of first
- * appearance), and every other cell on its own makeTimingModel()
- * instance; finalizeAll() returns results in @p cfgs order. When one
- * BatchedPipelineSim covers every cell (a uniform "pipeline" group),
- * that engine itself is returned. Each cell is bit-identical to a
- * standalone makeTimingModel() of its config.
+ * duplicates allowed). The group is split by predictor geometry
+ * only: the cells that share a bpredLog2Entries, "pipeline" and "ooo"
+ * alike, run on one BatchedPipelineSim (one instance per distinct
+ * geometry, in order of first appearance); finalizeAll() returns
+ * results in @p cfgs order. A one-geometry group (Fig 9's ten cells,
+ * say) gets the BatchedPipelineSim itself. Each cell is
+ * bit-identical to a standalone makeTimingModel() of its config.
  * @throws std::invalid_argument if any entry names an unknown model
  * or fails CoreConfig::validate().
  */

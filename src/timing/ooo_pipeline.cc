@@ -15,7 +15,8 @@ OoOPipelineSim::OoOPipelineSim(const CoreConfig &cfg)
     // not OOM.
     : cfg_((cfg.validate(), cfg)), mem_(cfg.mem),
       bpred_(unsigned(cfg.bpredLog2Entries)),
-      issueWidth_(cfg.issueWidth > 0 ? cfg.issueWidth : cfg.fetchWidth)
+      issueWidth_(cfg.issueWidth > 0 ? cfg.issueWidth : cfg.fetchWidth),
+      storeSets_(cfg.storeSetLog2)
 {
     res_.core = cfg_.name;
     storeQ_.reserve(cfg_.storeQ);
@@ -27,20 +28,7 @@ OoOPipelineSim::OoOPipelineSim(const CoreConfig &cfg)
     readyRing_.resize(
         std::bit_ceil(std::max(minRingSize, 2 * inflight)));
     ringMask_ = readyRing_.size() - 1;
-    ssit_.assign(std::size_t(1) << cfg_.storeSetLog2, 0);
     iq_.reserve(inflight);
-}
-
-int
-OoOPipelineSim::renameLimit(RegFile rf) const
-{
-    // 32 architected registers are always allocated; the rest rename.
-    switch (rf) {
-      case RegFile::GPR: return std::max(1, cfg_.gprPhys - 32);
-      case RegFile::FPR: return std::max(1, cfg_.fprPhys - 32);
-      case RegFile::VPR: return std::max(1, cfg_.vprPhys - 32);
-      default: return 1 << 30;
-    }
 }
 
 int *
@@ -52,41 +40,6 @@ OoOPipelineSim::renameCounter(RegFile rf)
       case RegFile::VPR: return &vprInflight_;
       default: return nullptr;
     }
-}
-
-int
-OoOPipelineSim::classLatency(InstrClass cls) const
-{
-    switch (cls) {
-      case InstrClass::IntAlu:     return cfg_.lat.intAlu;
-      case InstrClass::IntMul:     return cfg_.lat.intMul;
-      case InstrClass::FpAlu:      return cfg_.lat.fpAlu;
-      case InstrClass::Branch:     return cfg_.lat.branchResolve;
-      case InstrClass::VecSimple:  return cfg_.lat.vecSimple;
-      case InstrClass::VecComplex: return cfg_.lat.vecComplex;
-      case InstrClass::VecPerm:    return cfg_.lat.vecPerm;
-      default:                     return 1;
-    }
-}
-
-std::uint32_t
-OoOPipelineSim::allocSet()
-{
-    const auto sets = std::uint32_t(ssit_.size());
-    nextSet_ = nextSet_ + 1 < sets ? nextSet_ + 1 : 1;
-    return nextSet_;
-}
-
-void
-OoOPipelineSim::trainStoreSet(std::uint64_t load_pc,
-                              std::uint64_t store_pc)
-{
-    std::uint32_t set = ssit_[ssitIndex(store_pc)];
-    if (!set) {
-        set = allocSet();
-        ssit_[ssitIndex(store_pc)] = set;
-    }
-    ssit_[ssitIndex(load_pc)] = set;
 }
 
 void
@@ -239,8 +192,7 @@ OoOPipelineSim::tryIssue(Slot &slot)
             // store and pays the replay penalty below, once the
             // access is known to go ahead this cycle. Deadlock-free:
             // the blocker is older and retires independently.
-            const std::uint32_t lset = ssit_[ssitIndex(rec.pc)];
-            if (lset && ssit_[ssitIndex(blocker->pc)] == lset)
+            if (storeSets_.predictsDependence(rec.pc, blocker->pc))
                 return false;  // predicted dependent: wait for drain
         }
 
@@ -282,7 +234,7 @@ OoOPipelineSim::tryIssue(Slot &slot)
             if (blocker) {
                 // Ordering violation taken: train the pair into one
                 // store set and charge the deterministic replay cost.
-                trainStoreSet(rec.pc, blocker->pc);
+                storeSets_.train(rec.pc, blocker->pc);
                 extra += cfg_.memReplayPenalty;
                 ++memOrderReplays_;
             }
@@ -323,7 +275,7 @@ OoOPipelineSim::tryIssue(Slot &slot)
                 haltBranchId_ = 0;
         }
     } else {
-        slot.readyCycle = now_ + classLatency(rec.cls);
+        slot.readyCycle = now_ + cfg_.classLatency(rec.cls);
     }
 
     --unitTokens_[unit];
@@ -387,7 +339,7 @@ OoOPipelineSim::dispatchStage()
             break;
         RegFile rf = destRegFile(slot.rec.cls);
         int *ctr = renameCounter(rf);
-        if (ctr && *ctr >= renameLimit(rf))
+        if (ctr && *ctr >= cfg_.renameLimit(rf))
             break;
         if (slot.rec.isStore()) {
             if (storeQ_.size() >= static_cast<std::size_t>(cfg_.storeQ))

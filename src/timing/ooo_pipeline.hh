@@ -21,6 +21,15 @@
  * "pipeline" backend's behavior corresponds to an always-predicted
  * dependence (every aliasing load waits).
  *
+ * This class is the per-cell model: makeTimingModel("ooo") returns
+ * it, and it is the reference oracle behind SweepRunner's
+ * ReplayMode::PerCell. Batched replay runs "ooo" cells as a per-cell
+ * issue policy of BatchedPipelineSim (timing/batched_pipeline.hh),
+ * which must stay bit-identical to this class - both take the
+ * store-set policy from the one StoreSetPredictor
+ * (timing/store_set.hh), and tests/batched_replay_test.cc diffs the
+ * two over the full counter table.
+ *
  * Stream-pure discipline shared with every backend: the fetch stage
  * predicts and trains the gshare predictor exactly once per branch,
  * in program order, and halts behind mispredicts - so instruction,
@@ -41,6 +50,7 @@
 #include "timing/config.hh"
 #include "timing/model.hh"
 #include "timing/results.hh"
+#include "timing/store_set.hh"
 
 namespace uasim::timing {
 
@@ -115,19 +125,6 @@ class OoOPipelineSim : public TimingModel
 
     bool depsReady(const trace::InstrRecord &rec) const;
 
-    std::size_t
-    ssitIndex(std::uint64_t pc) const
-    {
-        return std::size_t(pc >> 2) & (ssit_.size() - 1);
-    }
-
-    /// Allocate a store-set id (cycling through [1, tableSize)).
-    std::uint32_t allocSet();
-
-    /// Record a load/store ordering violation: merge both PCs into
-    /// one store set so the next instance of the pair waits.
-    void trainStoreSet(std::uint64_t load_pc, std::uint64_t store_pc);
-
     static constexpr std::uint64_t notReady = ~std::uint64_t{0};
 
     /// Same producer-ready-ring floor as PipelineSim::minRingSize.
@@ -158,12 +155,7 @@ class OoOPipelineSim : public TimingModel
     std::vector<StoreEntry> storeQ_;
     std::vector<std::uint64_t> mshr_;         //!< miss completion cycles
 
-    // Store-set predictor state: the SSIT maps pc -> set id (0 =
-    // untrained). A load whose set matches an older undrained
-    // store's set waits; the store queue itself plays the LFST role
-    // (the blocker scan already names the precise in-flight store).
-    std::vector<std::uint32_t> ssit_;
-    std::uint32_t nextSet_ = 0;
+    StoreSetPredictor storeSets_;
     std::uint64_t memOrderReplays_ = 0;
 
     // Fetch redirection state.
@@ -189,9 +181,7 @@ class OoOPipelineSim : public TimingModel
     SimResult res_;
     bool finalized_ = false;
 
-    int renameLimit(RegFile rf) const;
     int *renameCounter(RegFile rf);
-    int classLatency(trace::InstrClass cls) const;
 };
 
 } // namespace uasim::timing

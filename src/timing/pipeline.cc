@@ -27,18 +27,6 @@ PipelineSim::PipelineSim(const CoreConfig &cfg)
     ringMask_ = readyRing_.size() - 1;
 }
 
-int
-PipelineSim::renameLimit(RegFile rf) const
-{
-    // 32 architected registers are always allocated; the rest rename.
-    switch (rf) {
-      case RegFile::GPR: return std::max(1, cfg_.gprPhys - 32);
-      case RegFile::FPR: return std::max(1, cfg_.fprPhys - 32);
-      case RegFile::VPR: return std::max(1, cfg_.vprPhys - 32);
-      default: return 1 << 30;
-    }
-}
-
 int *
 PipelineSim::renameCounter(RegFile rf)
 {
@@ -47,21 +35,6 @@ PipelineSim::renameCounter(RegFile rf)
       case RegFile::FPR: return &fprInflight_;
       case RegFile::VPR: return &vprInflight_;
       default: return nullptr;
-    }
-}
-
-int
-PipelineSim::classLatency(InstrClass cls) const
-{
-    switch (cls) {
-      case InstrClass::IntAlu:     return cfg_.lat.intAlu;
-      case InstrClass::IntMul:     return cfg_.lat.intMul;
-      case InstrClass::FpAlu:      return cfg_.lat.fpAlu;
-      case InstrClass::Branch:     return cfg_.lat.branchResolve;
-      case InstrClass::VecSimple:  return cfg_.lat.vecSimple;
-      case InstrClass::VecComplex: return cfg_.lat.vecComplex;
-      case InstrClass::VecPerm:    return cfg_.lat.vecPerm;
-      default:                     return 1;
     }
 }
 
@@ -285,7 +258,7 @@ PipelineSim::tryIssue(Slot &slot)
                 haltBranchId_ = 0;
         }
     } else {
-        slot.readyCycle = now_ + classLatency(rec.cls);
+        slot.readyCycle = now_ + cfg_.classLatency(rec.cls);
     }
 
     --unitTokens_[unit];
@@ -351,7 +324,7 @@ PipelineSim::dispatchStage()
             break;
         RegFile rf = destRegFile(slot.rec.cls);
         int *ctr = renameCounter(rf);
-        if (ctr && *ctr >= renameLimit(rf))
+        if (ctr && *ctr >= cfg_.renameLimit(rf))
             break;
         if (slot.rec.isStore()) {
             if (storeQ_.size() >= static_cast<std::size_t>(cfg_.storeQ))

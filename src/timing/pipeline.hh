@@ -159,11 +159,7 @@ class PipelineSim : public TimingModel
     SimResult res_;
     bool finalized_ = false;
 
-    int renameLimit(RegFile rf) const;
     int *renameCounter(RegFile rf);
-
-    /// Execution latency for a non-memory class.
-    int classLatency(trace::InstrClass cls) const;
 };
 
 } // namespace uasim::timing

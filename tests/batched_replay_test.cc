@@ -2,18 +2,23 @@
  * @file
  * Differential harness for the batched replay engine
  * (timing/batched_pipeline.hh): for any record stream and any config
- * grid, BatchedPipelineSim must produce per-cell SimResults
- * bit-identical to one standalone PipelineSim per config fed the same
- * stream. Coverage:
+ * grid of "pipeline" and "ooo" cells, BatchedPipelineSim must produce
+ * per-cell SimResults bit-identical to one standalone
+ * makeTimingModel() per config (PipelineSim or OoOPipelineSim) fed
+ * the same stream. Coverage:
  *  - real kernel traces (KernelBench::recordTrace) across the paper
- *    presets and randomized (seeded) config grids that mutate every
- *    CoreConfig knob, including inflight windows spanning the 1024
- *    producer-ready-ring boundary fixed in PR 3;
+ *    presets under both backends and randomized (seeded) config grids
+ *    that mutate every CoreConfig knob, the backend and the "ooo"
+ *    knobs (issueWidth, storeSetLog2, memReplayPenalty) included,
+ *    with inflight windows spanning the 1024-entry producer-ready-ring
+ *    boundary;
+ *  - a store-set stream on which the "ooo" oracle really speculates,
+ *    replays and then waits on trained pairs;
  *  - degenerate grids: a single cell, duplicate configs;
  *  - synthetic dependence chains long enough to wrap the ready ring;
  *  - append() vs appendBlock() chunk-boundary equivalence and the
  *    empty stream;
- *  - the enforced constructor precondition: invalid configs, other
+ *  - the enforced constructor precondition: invalid configs, unknown
  *    backends and mixed predictor geometries throw before anything
  *    is sized.
  * Every comparison iterates core::simResultFields(), so a counter
@@ -31,7 +36,8 @@
 #include "core/experiment.hh"
 #include "core/result.hh"
 #include "timing/batched_pipeline.hh"
-#include "timing/pipeline.hh"
+#include "timing/model.hh"
+#include "timing/ooo_pipeline.hh"
 #include "trace/sink.hh"
 #include "trace/trace_buffer.hh"
 
@@ -42,13 +48,13 @@ using h264::KernelId;
 using h264::Variant;
 using timing::BatchedPipelineSim;
 using timing::CoreConfig;
-using timing::PipelineSim;
 using trace::InstrClass;
 using trace::InstrRecord;
 
 namespace {
 
-/// Per-cell oracle: one fresh PipelineSim per config over the stream.
+/// Per-cell oracle: one fresh makeTimingModel() per config over the
+/// stream (PipelineSim or OoOPipelineSim, by CoreConfig::model).
 std::vector<timing::SimResult>
 perCellResults(const std::vector<CoreConfig> &cfgs,
                const std::vector<InstrRecord> &records)
@@ -56,10 +62,10 @@ perCellResults(const std::vector<CoreConfig> &cfgs,
     std::vector<timing::SimResult> out;
     out.reserve(cfgs.size());
     for (const auto &cfg : cfgs) {
-        PipelineSim sim(cfg);
+        auto sim = timing::makeTimingModel(cfg);
         for (const auto &rec : records)
-            sim.feed(rec);
-        out.push_back(sim.finalize());
+            sim->append(rec);
+        out.push_back(sim->finalize());
     }
     return out;
 }
@@ -163,6 +169,12 @@ randomConfig(std::mt19937_64 &rng, int idx)
     c.mem.parallelBanks = (rng() & 1) != 0;
     c.mem.l2Latency = pick(6, 20);
     c.mem.memLatency = pick(100, 300);
+    // The backend and the "ooo" knobs ("pipeline" cells must ignore
+    // the latter, which the oracle checks as well).
+    c.model = (rng() & 1) != 0 ? "ooo" : "pipeline";
+    c.issueWidth = pick(0, 8);
+    c.storeSetLog2 = pick(1, 12);
+    c.memReplayPenalty = pick(0, 12);
     return c;
 }
 
@@ -196,11 +208,14 @@ TEST(BatchedReplay, PresetGridOnKernelTraces)
     };
     const Variant variants[] = {Variant::Scalar, Variant::Altivec,
                                 Variant::Unaligned};
-    const std::vector<CoreConfig> cfgs = {
-        CoreConfig::twoWayInOrder(),
-        CoreConfig::fourWayOoO(),
-        CoreConfig::eightWayOoO(),
-    };
+    std::vector<CoreConfig> cfgs;
+    for (const std::string model : {"pipeline", "ooo"}) {
+        for (int p = 0; p < 3; ++p) {
+            CoreConfig c = CoreConfig::preset(p);
+            c.model = model;
+            cfgs.push_back(c);
+        }
+    }
     for (const auto &spec : specs) {
         for (auto variant : variants) {
             auto records = kernelRecords(spec, variant, 4);
@@ -215,9 +230,10 @@ TEST(BatchedReplay, PresetGridOnKernelTraces)
 
 TEST(BatchedReplay, RandomizedConfigGrids)
 {
-    // Three seeded grids of six random configs each, replaying a real
-    // unaligned vector trace (the densest feature mix: vector loads/
-    // stores, line crossings, store forwarding, branches).
+    // Three seeded grids of six random configs each (either backend),
+    // replaying a real unaligned vector trace (the densest feature
+    // mix: vector loads/stores, line crossings, store forwarding,
+    // branches).
     auto records =
         kernelRecords({KernelId::ChromaMc, 8, false}, Variant::Unaligned, 4);
     ASSERT_FALSE(records.empty());
@@ -229,6 +245,76 @@ TEST(BatchedReplay, RandomizedConfigGrids)
         expectBitIdentical(cfgs, records,
                            "seed " + std::to_string(seed));
     }
+}
+
+TEST(BatchedReplay, StoreSetSpeculationAndTrainedWaits)
+{
+    // Loads that partially overlap the store just before them (so
+    // they can never forward, only wait or speculate), whose stores
+    // issue late behind a multiply. Pair A (store pc 0x1000, load pc
+    // 0x1008) runs twice per iteration, then pair B (0x1004, 0x1108).
+    // In an SSIT of 4 to 64 entries both loads share one entry and
+    // the stores do not, so each pair's violation retrains the entry
+    // away from the other pair: A's second instance waits, its first
+    // speculates again. A 1024-entry SSIT separates the pairs, so
+    // nearly every instance waits. Independent misses keep the MSHR
+    // file busy, so speculating loads also meet MSHR-full retries.
+    // The "ooo" oracle must take violations and trained waits on this
+    // stream, and every batched cell must match it bit for bit.
+    std::vector<InstrRecord> records;
+    std::uint64_t id = 0;
+    auto push = [&](std::uint64_t pc, InstrClass cls, std::uint64_t addr,
+                    unsigned size, std::uint64_t dep) {
+        InstrRecord rec{};
+        rec.id = ++id;
+        rec.pc = pc;
+        rec.cls = cls;
+        rec.addr = addr;
+        rec.size = std::uint8_t(size);
+        rec.deps[0] = dep;
+        records.push_back(rec);
+        return rec.id;
+    };
+    const int iters = 600;
+    for (int i = 0; i < iters; ++i) {
+        const std::uint64_t base = 0x10000 + std::uint64_t(i % 8) * 64;
+        for (int k = 0; k < 3; ++k) {
+            const bool pairB = k == 2;
+            const std::uint64_t at = base + std::uint64_t(k) * 0x1000;
+            const auto mul = push(0x3000, InstrClass::IntMul, 0, 0, 0);
+            push(pairB ? 0x1004 : 0x1000, InstrClass::Store, at + 4, 8, mul);
+            const auto ld = push(pairB ? 0x1108 : 0x1008,
+                                 InstrClass::VecLoadU, at, 16, 0);
+            push(0x3004, InstrClass::IntAlu, 0, 0, ld);
+        }
+        push(0x2000, InstrClass::Load,
+             0x4000000 + std::uint64_t(i) * 4096, 8, 0);
+    }
+    const std::uint64_t aliasingLoads = 3 * std::uint64_t(iters);
+
+    std::vector<CoreConfig> cfgs;
+    for (int p = 0; p < 3; ++p) {
+        CoreConfig c = CoreConfig::preset(p);
+        c.model = "ooo";
+        c.name = "ooo-" + std::to_string(p);
+        c.storeSetLog2 = p == 0 ? 2 : (p == 1 ? 3 : 10);
+        c.issueWidth = p;
+        c.memReplayPenalty = 3 + 4 * p;
+        c.missMax = 1 + p;
+        cfgs.push_back(c);
+    }
+    cfgs.push_back(CoreConfig::fourWayOoO());  // a "pipeline" cell too
+
+    for (const auto &cfg : cfgs) {
+        if (cfg.model != "ooo")
+            continue;
+        timing::OoOPipelineSim oracle(cfg);
+        oracle.appendBlock(records.data(), records.size());
+        (void)oracle.finalize();
+        EXPECT_GT(oracle.memOrderReplays(), 0u) << cfg.name;
+        EXPECT_LT(oracle.memOrderReplays(), aliasingLoads) << cfg.name;
+    }
+    expectBitIdentical(cfgs, records, "store-set");
 }
 
 TEST(BatchedReplay, SingleCellGrid)
@@ -376,11 +462,21 @@ TEST(BatchedReplay, RejectsBadGroupsBeforeSizing)
     EXPECT_THROW(BatchedPipelineSim({CoreConfig::fourWayOoO(), badLater}),
                  std::invalid_argument);
 
-    // The precondition: "pipeline" cells only, one predictor geometry.
+    // An "ooo" cell's SSIT is not sized before validation either.
+    CoreConfig hugeSsit = CoreConfig::fourWayOoO();
+    hugeSsit.model = "ooo";
+    hugeSsit.storeSetLog2 = 40;
+    EXPECT_THROW(BatchedPipelineSim({CoreConfig::fourWayOoO(), hugeSsit}),
+                 std::invalid_argument);
+
+    // The precondition: "pipeline" and "ooo" cells only, one
+    // predictor geometry.
     CoreConfig ooo = CoreConfig::fourWayOoO();
     ooo.model = "ooo";
-    EXPECT_THROW(BatchedPipelineSim({CoreConfig::fourWayOoO(), ooo}),
-                 std::invalid_argument);
+    EXPECT_NO_THROW(BatchedPipelineSim({CoreConfig::fourWayOoO(), ooo}));
+    CoreConfig unknown = CoreConfig::fourWayOoO();
+    unknown.model = "turandot";
+    EXPECT_THROW(BatchedPipelineSim({ooo, unknown}), std::invalid_argument);
     CoreConfig otherGeometry = CoreConfig::fourWayOoO();
     otherGeometry.bpredLog2Entries = 10;
     EXPECT_THROW(

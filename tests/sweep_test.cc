@@ -618,7 +618,7 @@ TEST(SweepSharding, MixedBackendAndGeometryGroupMatchesPerCell)
 {
     // One trace x 8 cells that mix "pipeline" and "ooo" and two
     // predictor geometries: the batched factory splits each replay
-    // slice by engine. At 4 threads the group is cut into 4 shards of
+    // slice by geometry. At 4 threads the group is cut into 4 shards of
     // 2 cells: mixed backends, mixed geometries, mixed backends, and
     // one uniform pipeline pair. Every run, from the in-memory buffer
     // or a warm store, must match per-cell replay.

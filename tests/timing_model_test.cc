@@ -1,11 +1,11 @@
 /**
  * @file
  * TimingModel interface tests: the factory/registry contract, the
- * batched factory's split of a group by engine (every group shape
- * bit-identical to standalone models), the cross-model stream-pure
- * differential harness, the shared
- * line-crossing-load gate, and the ooo backend's own mechanisms
- * (store-set prediction, decoupled issue width, memBW throttle).
+ * batched factory's split of a group by predictor geometry (every
+ * group shape bit-identical to standalone models), the cross-model
+ * stream-pure differential harness, the shared line-crossing-load
+ * gate, and the ooo backend's own mechanisms (store-set prediction,
+ * decoupled issue width, memBW throttle).
  *
  * The cross-model harness is the model-vs-model analogue of
  * batched_replay_test: backends may (must, eventually) disagree on
@@ -192,11 +192,11 @@ expectMatchesStandalone(const std::vector<CoreConfig> &cfgs,
 
 TEST(TimingModelCrossDiff, BatchedMixedGroupMatchesPerCell)
 {
-    // makeBatchedTimingModel splits a group by engine: "pipeline"
-    // cells go to one BatchedPipelineSim per predictor geometry, every
-    // other cell to its own model. Whatever the group's shape, each
-    // cell must be bit-identical to its standalone model, in
-    // constructor order.
+    // makeBatchedTimingModel splits a group by predictor geometry:
+    // one BatchedPipelineSim per bpredLog2Entries value, running that
+    // geometry's "pipeline" and "ooo" cells alike. Whatever the
+    // group's shape, each cell must be bit-identical to its
+    // standalone model, in constructor order.
     auto records =
         kernelRecords({KernelId::Idct, 4, false}, Variant::Unaligned, 4);
     ASSERT_GT(records.size(), 512u);  // spans several 256-rec chunks
@@ -291,20 +291,41 @@ TEST(TimingModelFactory, UniformPipelineGroupGetsTheBatchedEngine)
               nullptr);
     EXPECT_EQ(batch->cellCount(), 3);
 
-    auto mixedModels = uniform;
-    mixedModels[1].model = "ooo";
     auto mixedGeometry = uniform;
     mixedGeometry[2].bpredLog2Entries = 2;
-    for (const auto &cfgs : {mixedModels, mixedGeometry}) {
-        auto split = timing::makeBatchedTimingModel(cfgs);
-        EXPECT_EQ(dynamic_cast<timing::BatchedPipelineSim *>(split.get()),
-                  nullptr);
-        EXPECT_EQ(split->cellCount(), 3);
-    }
+    auto split = timing::makeBatchedTimingModel(mixedGeometry);
+    EXPECT_EQ(dynamic_cast<timing::BatchedPipelineSim *>(split.get()),
+              nullptr);
+    EXPECT_EQ(split->cellCount(), 3);
 
     // A bad config in any part is rejected by the factory.
-    mixedModels[0].bpredLog2Entries = 31;
-    EXPECT_THROW((void)timing::makeBatchedTimingModel(mixedModels),
+    mixedGeometry[0].bpredLog2Entries = 31;
+    EXPECT_THROW((void)timing::makeBatchedTimingModel(mixedGeometry),
+                 std::invalid_argument);
+}
+
+TEST(TimingModelFactory, MixedBackendGroupGetsTheBatchedEngine)
+{
+    // The factory splits by predictor geometry only: "pipeline" and
+    // "ooo" cells of one geometry (Fig 9's shape) share one engine.
+    std::vector<CoreConfig> mixed;
+    for (const std::string model : {"pipeline", "ooo"}) {
+        for (int p = 0; p < 3; ++p)
+            mixed.push_back(withModel(CoreConfig::preset(p), model));
+    }
+    auto batch = timing::makeBatchedTimingModel(mixed);
+    EXPECT_NE(dynamic_cast<timing::BatchedPipelineSim *>(batch.get()),
+              nullptr);
+    EXPECT_EQ(batch->cellCount(), 6);
+
+    // An unknown backend or a bad "ooo" cell is still rejected.
+    auto unknown = mixed;
+    unknown[4].model = "turandot";
+    EXPECT_THROW((void)timing::makeBatchedTimingModel(unknown),
+                 std::invalid_argument);
+    auto badOoo = mixed;
+    badOoo[5].storeSetLog2 = 0;
+    EXPECT_THROW((void)timing::makeBatchedTimingModel(badOoo),
                  std::invalid_argument);
 }
 

@@ -3,14 +3,22 @@
  * Tests for the superscalar pipeline model: basic invariants, width
  * scaling, dependence serialization, load latency, store-to-load
  * forwarding, branch misprediction, unaligned-access latency, and the
- * branch predictor.
+ * branch predictor. The analytic latency/throughput checks
+ * (EngineTiming) run on every engine - "pipeline" and "ooo", each
+ * standalone and as a batched cell - and hold with the same bounds on
+ * all four: their streams exercise no mechanism where the backends
+ * differ by design (an out-of-order preset, no aliasing stores that
+ * fail to forward).
  */
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <stdexcept>
+#include <string>
 
 #include "timing/branch_pred.hh"
+#include "timing/model.hh"
 #include "trace/trace_io.hh"
 #include "timing/pipeline.hh"
 #include "trace/emitter.hh"
@@ -48,6 +56,38 @@ runChain(const CoreConfig &cfg, InstrClass cls, int n)
         prev = em.emit(cls, std::source_location::current(), prev);
     return sim.finalize();
 }
+
+/// One engine an analytic timing check runs on: a backend, replayed
+/// standalone (makeTimingModel) or as a one-cell batched group
+/// (makeBatchedTimingModel, i.e. BatchedPipelineSim).
+struct Engine {
+    const char *model;
+    bool batched;
+};
+
+class EngineTiming : public ::testing::TestWithParam<Engine>
+{
+  protected:
+    /// Record the stream @p gen emits, then replay it on this engine.
+    timing::SimResult
+    run(CoreConfig cfg,
+        const std::function<void(trace::Emitter &)> &gen) const
+    {
+        trace::BufferSink sink;
+        trace::Emitter em(sink);
+        gen(em);
+        const auto &recs = sink.records();
+        cfg.model = GetParam().model;
+        if (GetParam().batched) {
+            auto batch = timing::makeBatchedTimingModel({cfg});
+            batch->appendBlock(recs.data(), recs.size());
+            return batch->finalizeAll().front();
+        }
+        auto sim = timing::makeTimingModel(cfg);
+        sim->appendBlock(recs.data(), recs.size());
+        return sim->finalize();
+    }
+};
 
 } // namespace
 
@@ -91,61 +131,116 @@ TEST(Pipeline, FxUnitThroughputBindsIntAlu)
     EXPECT_LE(r.cycles, 2300u);  // and not much more
 }
 
-TEST(Pipeline, DependenceChainSerializes)
+// The analytic checks below run on every engine: each backend both
+// standalone and batched.
+
+TEST_P(EngineTiming, DependenceChainSerializes)
 {
     CoreConfig cfg = CoreConfig::eightWayOoO();
-    auto par = runIndependent(cfg, InstrClass::VecComplex, 1000);
-    auto ser = runChain(cfg, InstrClass::VecComplex, 1000);
+    auto stream = [](bool chained) {
+        return [chained](trace::Emitter &em) {
+            trace::Dep prev{};
+            for (int i = 0; i < 1000; ++i) {
+                prev = em.emit(InstrClass::VecComplex,
+                               std::source_location::current(),
+                               chained ? prev : trace::Dep{});
+            }
+        };
+    };
+    auto par = run(cfg, stream(false));
+    auto ser = run(cfg, stream(true));
     // Chain: one per vecComplex latency (4); parallel: bound by the
     // 2 VCMPLX units.
     EXPECT_GE(ser.cycles, 4000u);
     EXPECT_LT(par.cycles, 1000u);
 }
 
-TEST(Pipeline, LoadLatencyAppearsInChains)
+TEST_P(EngineTiming, LoadLatencyAppearsInChains)
 {
     CoreConfig cfg = CoreConfig::fourWayOoO();
     vmx::AlignedBuffer buf(256, 0);
-    // Pointer-chase-like chain: load feeding the next load's address.
-    PipelineSim sim(cfg);
-    trace::Emitter em(sim);
-    trace::Dep prev{};
     const int n = 500;
-    for (int i = 0; i < n; ++i) {
-        prev = em.emitMem(InstrClass::Load,
-                          reinterpret_cast<std::uint64_t>(buf.data()),
-                          4, std::source_location::current(), prev);
-    }
-    auto r = sim.finalize();
+    // Pointer-chase-like chain: load feeding the next load's address.
+    auto r = run(cfg, [&](trace::Emitter &em) {
+        trace::Dep prev{};
+        for (int i = 0; i < n; ++i) {
+            prev = em.emitMem(InstrClass::Load,
+                              reinterpret_cast<std::uint64_t>(buf.data()),
+                              4, std::source_location::current(), prev);
+        }
+    });
     // Each hit costs the 4-cycle load-to-use latency.
     EXPECT_GE(r.cycles, std::uint64_t(n) * 4);
     EXPECT_LE(r.cycles, std::uint64_t(n) * 4 + 600);
 }
 
-TEST(Pipeline, UnalignedExtraLatencySlowsChains)
+TEST_P(EngineTiming, UnalignedExtraLatencySlowsChains)
 {
     vmx::AlignedBuffer buf(256, 4);  // unaligned base
-    auto run = [&](int extra) {
+    auto runExtra = [&](int extra) {
         CoreConfig cfg = CoreConfig::fourWayOoO();
         cfg.lat.unalignedLoadExtra = extra;
-        PipelineSim sim(cfg);
-        trace::Emitter em(sim);
-        trace::Dep prev{};
-        for (int i = 0; i < 400; ++i) {
-            prev = em.emitMem(
-                InstrClass::VecLoadU,
-                reinterpret_cast<std::uint64_t>(buf.data()), 16,
-                std::source_location::current(), prev);
-        }
-        return sim.finalize();
+        return run(cfg, [&](trace::Emitter &em) {
+            trace::Dep prev{};
+            for (int i = 0; i < 400; ++i) {
+                prev = em.emitMem(
+                    InstrClass::VecLoadU,
+                    reinterpret_cast<std::uint64_t>(buf.data()), 16,
+                    std::source_location::current(), prev);
+            }
+        });
     };
-    auto base = run(0);
-    auto plus2 = run(2);
-    auto plus6 = run(6);
+    auto base = runExtra(0);
+    auto plus2 = runExtra(2);
+    auto plus6 = runExtra(6);
     EXPECT_GT(plus2.cycles, base.cycles + 700u);
     EXPECT_GT(plus6.cycles, plus2.cycles + 1500u);
     EXPECT_EQ(base.unalignedVecOps, 400u);
 }
+
+TEST_P(EngineTiming, StoreToLoadForwarding)
+{
+    vmx::AlignedBuffer buf(256, 0);
+    auto addr = reinterpret_cast<std::uint64_t>(buf.data());
+    auto r = run(CoreConfig::fourWayOoO(), [&](trace::Emitter &em) {
+        for (int i = 0; i < 100; ++i) {
+            auto st = em.emitMem(InstrClass::Store, addr, 8,
+                                 std::source_location::current());
+            em.emitMem(InstrClass::Load, addr, 8,
+                       std::source_location::current(), st);
+        }
+    });
+    EXPECT_GE(r.storeForwards, 90u);
+}
+
+TEST_P(EngineTiming, MshrLimitThrottlesMisses)
+{
+    // Independent loads all missing to memory: more MSHRs -> more
+    // memory-level parallelism -> fewer cycles.
+    auto runMshrs = [&](int mshrs) {
+        CoreConfig cfg = CoreConfig::fourWayOoO();
+        cfg.missMax = mshrs;
+        return run(cfg, [](trace::Emitter &em) {
+            for (int i = 0; i < 200; ++i) {
+                em.emitMem(InstrClass::Load,
+                           0x40000000ull + std::uint64_t(i) * 4096, 8,
+                           std::source_location::current());
+            }
+        });
+    };
+    auto few = runMshrs(1);
+    auto many = runMshrs(8);
+    EXPECT_GT(few.cycles, many.cycles * 3);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllEngines, EngineTiming,
+    ::testing::Values(Engine{"pipeline", false}, Engine{"pipeline", true},
+                      Engine{"ooo", false}, Engine{"ooo", true}),
+    [](const ::testing::TestParamInfo<Engine> &info) {
+        return std::string(info.param.model) +
+            (info.param.batched ? "_batched" : "_percell");
+    });
 
 TEST(Pipeline, AlignedLvxuPaysNoPenalty)
 {
@@ -165,23 +260,6 @@ TEST(Pipeline, AlignedLvxuPaysNoPenalty)
         return sim.finalize();
     };
     EXPECT_EQ(run(0).cycles, run(6).cycles);
-}
-
-TEST(Pipeline, StoreToLoadForwarding)
-{
-    vmx::AlignedBuffer buf(256, 0);
-    CoreConfig cfg = CoreConfig::fourWayOoO();
-    PipelineSim sim(cfg);
-    trace::Emitter em(sim);
-    auto addr = reinterpret_cast<std::uint64_t>(buf.data());
-    for (int i = 0; i < 100; ++i) {
-        auto st = em.emitMem(InstrClass::Store, addr, 8,
-                             std::source_location::current());
-        em.emitMem(InstrClass::Load, addr, 8,
-                   std::source_location::current(), st);
-    }
-    auto r = sim.finalize();
-    EXPECT_GE(r.storeForwards, 90u);
 }
 
 TEST(Pipeline, MispredictsStallFetch)
@@ -244,27 +322,6 @@ TEST(Pipeline, InOrderSlowerThanOoOOnMixedChain)
     auto r_in = run(in_order);
     auto r_ooo = run(ooo);
     EXPECT_LT(r_ooo.cycles, r_in.cycles);
-}
-
-TEST(Pipeline, MshrLimitThrottlesMisses)
-{
-    // Independent loads all missing to memory: more MSHRs -> more
-    // memory-level parallelism -> fewer cycles.
-    auto run = [&](int mshrs) {
-        CoreConfig cfg = CoreConfig::fourWayOoO();
-        cfg.missMax = mshrs;
-        PipelineSim sim(cfg);
-        trace::Emitter em(sim);
-        for (int i = 0; i < 200; ++i) {
-            em.emitMem(InstrClass::Load,
-                       0x40000000ull + std::uint64_t(i) * 4096, 8,
-                       std::source_location::current());
-        }
-        return sim.finalize();
-    };
-    auto few = run(1);
-    auto many = run(8);
-    EXPECT_GT(few.cycles, many.cycles * 3);
 }
 
 TEST(Pipeline, CacheStatsPlumbedThrough)
