@@ -989,7 +989,6 @@ runCampaignShard(const Campaign &campaign, const CampaignRunOptions &opt)
         SweepRunner runner(opt.threads);
         if (!opt.traceCache.empty())
             runner.attachStore(opt.traceCache);
-        runner.setReplayMode(opt.replayMode);
         const std::vector<SweepCellResult> results = runner.run(plan);
         runStats = runner.stats();
         ran = true;

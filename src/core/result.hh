@@ -60,7 +60,7 @@ struct SimResultField {
 
 /**
  * The one SimResult counter table: artifact serialization, parsing,
- * diff gating, and the batched-vs-percell differential tests all
+ * diff gating, and the batched-vs-per-cell-model differential tests all
  * iterate this list, so a future counter added here is automatically
  * carried by the artifact, gated by uasim-report, AND compared across
  * both replay engines — it cannot serialize yet silently never gate,

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <exception>
 #include <mutex>
+#include <stdexcept>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -57,26 +58,6 @@ void
 SweepPlan::addCell(int trace, int config)
 {
     cells_.push_back({trace, config});
-}
-
-bool
-parseReplayMode(const std::string &name, ReplayMode &mode)
-{
-    if (name == "batched") {
-        mode = ReplayMode::Batched;
-        return true;
-    }
-    if (name == "percell") {
-        mode = ReplayMode::PerCell;
-        return true;
-    }
-    return false;
-}
-
-const char *
-replayModeName(ReplayMode mode)
-{
-    return mode == ReplayMode::Batched ? "batched" : "percell";
 }
 
 void
@@ -173,46 +154,6 @@ SweepRunner::run(const SweepPlan &plan)
     auto worker = [&]() {
         WorkerTotals local;
 
-        // Run fn(shard, shardTotals) on nShards shards: shard 0 on
-        // this thread, the rest on short-lived threads. Shard totals
-        // merge into the worker's only when every shard succeeded;
-        // the first shard exception rethrows here with no partial
-        // accounting, so a caller that falls back to re-recording
-        // starts from a clean slate.
-        auto runShards = [&local](int nShards, auto &&fn) {
-            if (nShards <= 1) {
-                fn(0, local);
-                return;
-            }
-            std::vector<WorkerTotals> shardTotals(nShards);
-            std::vector<std::exception_ptr> shardErrors(nShards);
-            std::vector<std::thread> shardPool;
-            shardPool.reserve(nShards - 1);
-            for (int k = 1; k < nShards; ++k) {
-                shardPool.emplace_back([&, k] {
-                    try {
-                        fn(k, shardTotals[k]);
-                    } catch (...) {
-                        shardErrors[k] = std::current_exception();
-                    }
-                });
-            }
-            try {
-                fn(0, shardTotals[0]);
-            } catch (...) {
-                shardErrors[0] = std::current_exception();
-            }
-            for (auto &t : shardPool)
-                t.join();
-            for (auto &e : shardErrors) {
-                if (e)
-                    std::rethrow_exception(e);
-            }
-            for (const auto &st : shardTotals)
-                local.merge(st);
-            local.maxShards = std::max(local.maxShards, nShards);
-        };
-
         try {
             for (;;) {
                 // Stop the whole pool at the first failure instead of
@@ -250,133 +191,70 @@ SweepRunner::run(const SweepPlan &plan)
                 trace::TraceStore *store =
                     (store_ && job.cacheable) ? store_.get() : nullptr;
 
-                // The single timing cell of a fused group.
-                const int simCi = timingCells == 1 ? timingCis[0] : -1;
-
-                // Replay a captured record stream into every timing
-                // cell of the group: one batched model pass in
-                // Batched mode, one per-cell model walk per cell in
-                // the PerCell reference mode. Spare thread budget splits
-                // the cells across shards, each replaying its slice
-                // from its own pass over the buffer - cells are
-                // mutually independent, so any split fills identical
-                // results (tests/batched_replay_test.cc and the
-                // sharding cases in tests/sweep_test.cc); only pass
-                // count and wall time differ.
-                auto replayCells = [&](const trace::TraceBuffer &buf) {
+                // Replay every timing cell from one record source. The
+                // cells are cut into min(shardBudget, cells) contiguous
+                // slices; each slice is one batched model fed by its own
+                // feed(sink, totals) pass, which returns the records it
+                // fed. Slice 0 runs on this thread, the rest on
+                // short-lived threads. Cells are mutually independent,
+                // so any split fills identical results
+                // (tests/batched_replay_test.cc and the sharding cases in
+                // tests/sweep_test.cc); only pass count and wall time
+                // differ. Each slice counts into its own totals, which
+                // merge into the worker's only when every slice
+                // succeeded: the first exception rethrows here with no
+                // partial accounting, so a store hit that falls back to
+                // re-recording starts from a clean slate. Each pass's
+                // time lands in @p seconds.
+                auto replay = [&](double WorkerTotals::*seconds,
+                                  auto &&feed) {
                     const int nShards =
                         std::min<int>(shardBudget, timingCells);
                     const std::size_t cellsN = timingCis.size();
-                    if (replayMode_ == ReplayMode::Batched) {
-                        runShards(nShards, [&](int k,
-                                               WorkerTotals &lt) {
-                            const std::size_t lo =
-                                cellsN * std::size_t(k) / nShards;
-                            const std::size_t hi =
-                                cellsN * std::size_t(k + 1) / nShards;
-                            std::vector<timing::CoreConfig> cfgs(
-                                timingCfgs.begin() + lo,
-                                timingCfgs.begin() + hi);
-                            auto batch =
-                                timing::makeBatchedTimingModel(cfgs);
-                            buf.replayInto(*batch);
-                            auto sims = batch->finalizeAll();
-                            for (std::size_t i = lo; i < hi; ++i) {
-                                results[timingCis[i]].sim =
-                                    std::move(sims[i - lo]);
-                            }
-                            lt.replayed += buf.size() * (hi - lo);
-                            ++lt.replayPasses;
-                        });
-                    } else {
-                        runShards(nShards, [&](int k,
-                                               WorkerTotals &lt) {
-                            const std::size_t lo =
-                                cellsN * std::size_t(k) / nShards;
-                            const std::size_t hi =
-                                cellsN * std::size_t(k + 1) / nShards;
-                            for (std::size_t i = lo; i < hi; ++i) {
-                                auto sim = timing::makeTimingModel(
-                                    timingCfgs[i]);
-                                buf.replayInto(*sim);
-                                results[timingCis[i]].sim =
-                                    sim->finalize();
-                                lt.replayed += buf.size();
-                                ++lt.replayPasses;
-                            }
-                        });
-                    }
-                };
-
-                // Store-hit analogue of replayCells: the record
-                // stream is never materialized - every shard decodes
-                // the (usually mmap'd) payload itself through an
-                // independent TraceCursor. Throws if the payload does
-                // not decode; the caller discards the entry and falls
-                // back to recording.
-                auto replayFromReader =
-                    [&](const trace::TraceReader &reader) {
-                    const int nShards =
-                        std::min<int>(shardBudget, timingCells);
-                    const std::size_t cellsN = timingCis.size();
-                    auto decodePassInto = [&](trace::TraceSink &sink,
-                                              WorkerTotals &lt) {
-                        trace::TraceCursor cur = reader.cursor();
-                        trace::InstrRecord block[1024];
-                        for (;;) {
-                            auto d0 = Clock::now();
-                            const std::size_t got =
-                                cur.nextBlock(block, std::size(block));
-                            lt.decodeSec += secondsSince(d0);
-                            if (got == 0)
-                                break;
-                            sink.appendBlock(block, got);
-                        }
-                        lt.decodeBytes += reader.payloadBytes();
-                    };
-                    if (replayMode_ == ReplayMode::Batched) {
-                        runShards(nShards, [&](int k,
-                                               WorkerTotals &lt) {
-                            const std::size_t lo =
-                                cellsN * std::size_t(k) / nShards;
-                            const std::size_t hi =
-                                cellsN * std::size_t(k + 1) / nShards;
-                            std::vector<timing::CoreConfig> cfgs(
-                                timingCfgs.begin() + lo,
-                                timingCfgs.begin() + hi);
+                    std::vector<WorkerTotals> shardTotals(nShards);
+                    std::vector<std::exception_ptr> shardErrors(nShards);
+                    auto pass = [&](int k) {
+                        const std::size_t lo =
+                            cellsN * std::size_t(k) / nShards;
+                        const std::size_t hi =
+                            cellsN * std::size_t(k + 1) / nShards;
+                        WorkerTotals &lt = shardTotals[k];
+                        try {
                             auto t0 = Clock::now();
-                            auto batch =
-                                timing::makeBatchedTimingModel(cfgs);
-                            decodePassInto(*batch, lt);
+                            auto batch = timing::makeBatchedTimingModel(
+                                std::vector<timing::CoreConfig>(
+                                    timingCfgs.begin() + lo,
+                                    timingCfgs.begin() + hi));
+                            const std::uint64_t records = feed(*batch, lt);
                             auto sims = batch->finalizeAll();
                             for (std::size_t i = lo; i < hi; ++i) {
                                 results[timingCis[i]].sim =
                                     std::move(sims[i - lo]);
                             }
-                            lt.replaySec += secondsSince(t0);
-                            lt.replayed += reader.count() * (hi - lo);
+                            lt.*seconds += secondsSince(t0);
+                            lt.replayed += records * (hi - lo);
                             ++lt.replayPasses;
-                        });
-                    } else {
-                        runShards(nShards, [&](int k,
-                                               WorkerTotals &lt) {
-                            const std::size_t lo =
-                                cellsN * std::size_t(k) / nShards;
-                            const std::size_t hi =
-                                cellsN * std::size_t(k + 1) / nShards;
-                            for (std::size_t i = lo; i < hi; ++i) {
-                                auto t0 = Clock::now();
-                                auto sim = timing::makeTimingModel(
-                                    timingCfgs[i]);
-                                decodePassInto(*sim, lt);
-                                results[timingCis[i]].sim =
-                                    sim->finalize();
-                                lt.replaySec += secondsSince(t0);
-                                lt.replayed += reader.count();
-                                ++lt.replayPasses;
-                            }
-                        });
+                        } catch (...) {
+                            shardErrors[k] = std::current_exception();
+                        }
+                    };
+                    {
+                        // jthread joins on destruction, so every started
+                        // shard is joined even if a later one fails to
+                        // start.
+                        std::vector<std::jthread> shardPool;
+                        shardPool.reserve(nShards - 1);
+                        for (int k = 1; k < nShards; ++k)
+                            shardPool.emplace_back(pass, k);
+                        pass(0);
                     }
+                    for (auto &e : shardErrors) {
+                        if (e)
+                            std::rethrow_exception(e);
+                    }
+                    for (const auto &st : shardTotals)
+                        local.merge(st);
+                    local.maxShards = std::max(local.maxShards, nShards);
                 };
 
                 trace::InstrMix mix;
@@ -385,16 +263,15 @@ SweepRunner::run(const SweepPlan &plan)
                 // Store probe, shaped per group kind so a hit never
                 // materializes state the cells don't need: a mix-only
                 // group reads just the header's validated mix section
-                // (no payload decode at all); timing groups open the
-                // entry zero-copy (mmap where available) and decode
-                // it straight into their simulators - a single cell
-                // as one streamed pass, a multi-cell group as sharded
-                // cursor passes over the shared mapping. Replay
-                // equivalence keeps every hit bit-identical to
-                // recording in-process. A payload that fails
-                // mid-decode (valid checksum, corrupt stream) is
-                // discarded like any corrupt entry and the group
-                // falls through to re-recording.
+                // (no payload decode at all); a timing group opens the
+                // entry zero-copy (mmap where available) and every
+                // replay slice decodes it through its own TraceCursor.
+                // Replay equivalence keeps every hit bit-identical to
+                // recording in-process. A payload that fails mid-decode
+                // (valid checksum, corrupt stream) is discarded like any
+                // corrupt entry and the group falls through to
+                // re-recording, which overwrites any result slots the
+                // failed pass filled.
                 if (store && timingCells == 0) {
                     auto t0 = Clock::now();
                     if (auto sum = store->loadSummary(job.key)) {
@@ -404,47 +281,26 @@ SweepRunner::run(const SweepPlan &plan)
                         ++local.tracesLoaded;
                         fromStore = true;
                     }
-                } else if (store && timingCells == 1) {
-                    if (auto reader = store->openReader(job.key)) {
-                        try {
-                            auto t0 = Clock::now();
-                            auto sim = timing::makeTimingModel(
-                                timingCfgs[0]);
-                            trace::TraceCursor cur = reader->cursor();
-                            trace::InstrRecord block[1024];
-                            for (;;) {
-                                auto d0 = Clock::now();
-                                const std::size_t got = cur.nextBlock(
-                                    block, std::size(block));
-                                local.decodeSec += secondsSince(d0);
-                                if (got == 0)
-                                    break;
-                                sim->appendBlock(block, got);
-                            }
-                            results[simCi].sim = sim->finalize();
-                            mix = reader->mix();
-                            local.replaySec += secondsSince(t0);
-                            local.decodeBytes +=
-                                reader->payloadBytes();
-                            if (reader->mapped()) {
-                                local.bytesMapped +=
-                                    reader->payloadBytes();
-                            }
-                            local.loaded += reader->count();
-                            local.replayed += reader->count();
-                            ++local.replayPasses;
-                            ++local.tracesLoaded;
-                            fromStore = true;
-                        } catch (const std::exception &e) {
-                            // The partially fed sim is discarded; the
-                            // record path below starts fresh.
-                            store->discardEntry(job.key, e.what());
-                        }
-                    }
                 } else if (store) {
                     if (auto reader = store->openReader(job.key)) {
                         try {
-                            replayFromReader(*reader);
+                            replay(&WorkerTotals::replaySec,
+                                   [&reader](trace::TraceSink &sink,
+                                             WorkerTotals &lt) {
+                                trace::TraceCursor cur = reader->cursor();
+                                trace::InstrRecord block[1024];
+                                for (;;) {
+                                    auto d0 = Clock::now();
+                                    const std::size_t got = cur.nextBlock(
+                                        block, std::size(block));
+                                    lt.decodeSec += secondsSince(d0);
+                                    if (got == 0)
+                                        break;
+                                    sink.appendBlock(block, got);
+                                }
+                                lt.decodeBytes += reader->payloadBytes();
+                                return reader->count();
+                            });
                             mix = reader->mix();
                             if (reader->mapped()) {
                                 local.bytesMapped +=
@@ -453,9 +309,10 @@ SweepRunner::run(const SweepPlan &plan)
                             local.loaded += reader->count();
                             ++local.tracesLoaded;
                             fromStore = true;
-                        } catch (const std::exception &e) {
-                            // Any partially filled result slots are
-                            // overwritten by the record path below.
+                        } catch (const std::runtime_error &e) {
+                            // A decode error; a bad config
+                            // (std::invalid_argument) is no fault of
+                            // the entry and fails the run instead.
                             store->discardEntry(job.key, e.what());
                         }
                     }
@@ -467,6 +324,15 @@ SweepRunner::run(const SweepPlan &plan)
                 std::unique_ptr<trace::TraceStore::Recorder> recorder;
                 if (store && !fromStore)
                     recorder = store->startRecord(job.key);
+                // One emulation pass into @p sink, tee'd to the recorder.
+                auto record = [&](trace::TraceSink &sink) {
+                    if (recorder) {
+                        trace::TeeSink tee(sink, *recorder);
+                        job.record(tee);
+                    } else {
+                        job.record(sink);
+                    }
+                };
                 auto commitRecorder = [&]() {
                     if (!recorder)
                         return;
@@ -484,63 +350,49 @@ SweepRunner::run(const SweepPlan &plan)
 
                 if (fromStore) {
                     // All cells already filled by the probe above.
-                } else if (timingCells == 1) {
-                    // Single consumer: stream the emulation straight
-                    // into its simulator (replay equivalence makes
-                    // this bit-identical to the buffered path, minus
-                    // the buffer). The fused pass interleaves record
-                    // and replay work, so its time is accounted as
-                    // streamSeconds - not recordSeconds - and its
-                    // instructions count as both recorded and
-                    // replayed, keeping the instruction totals
-                    // identical to the buffered path's.
-                    auto t0 = Clock::now();
-                    auto sim = timing::makeTimingModel(timingCfgs[0]);
-                    trace::CountingSink counter;
-                    trace::TeeSink tee(counter, *sim);
-                    if (recorder) {
-                        trace::TeeSink teeStore(tee, *recorder);
-                        job.record(teeStore);
-                    } else {
-                        job.record(tee);
-                    }
-                    auto &res = results[simCi];
-                    res.sim = sim->finalize();
-                    mix = counter.mix();
-                    local.streamSec += secondsSince(t0);
-                    local.recorded += mix.total();
-                    local.replayed += mix.total();
-                    ++local.replayPasses;
-                    commitRecorder();
                 } else if (timingCells == 0) {
                     auto t0 = Clock::now();
                     trace::CountingSink counter;
-                    if (recorder) {
-                        trace::TeeSink tee(counter, *recorder);
-                        job.record(tee);
-                    } else {
-                        job.record(counter);
-                    }
+                    record(counter);
                     mix = counter.mix();
                     local.recordSec += secondsSince(t0);
                     local.recorded += mix.total();
                     commitRecorder();
+                } else if (timingCells == 1) {
+                    // One consumer: stream the emulation straight into
+                    // its one-cell model, with no buffer (replay
+                    // equivalence makes this bit-identical to the
+                    // buffered path). The pass interleaves record and
+                    // replay work, so its time is accounted as
+                    // streamSeconds, and its instructions count as both
+                    // recorded and replayed, keeping the instruction
+                    // totals identical to the buffered path's.
+                    trace::CountingSink counter;
+                    replay(&WorkerTotals::streamSec,
+                           [&](trace::TraceSink &sim, WorkerTotals &) {
+                        trace::TeeSink tee(counter, sim);
+                        record(tee);
+                        return counter.mix().total();
+                    });
+                    mix = counter.mix();
+                    local.recorded += mix.total();
+                    commitRecorder();
                 } else {
+                    // Several consumers: record once into memory, then
+                    // every replay slice walks the buffer.
                     trace::TraceBuffer buffer;
                     auto t0 = Clock::now();
-                    if (recorder) {
-                        trace::TeeSink tee(buffer, *recorder);
-                        job.record(tee);
-                    } else {
-                        job.record(buffer);
-                    }
+                    record(buffer);
                     mix = buffer.mix();
                     local.recordSec += secondsSince(t0);
                     local.recorded += buffer.size();
                     commitRecorder();
-                    auto t1 = Clock::now();
-                    replayCells(buffer);
-                    local.replaySec += secondsSince(t1);
+                    replay(&WorkerTotals::replaySec,
+                           [&buffer](trace::TraceSink &sink,
+                                     WorkerTotals &) {
+                        buffer.replayInto(sink);
+                        return std::uint64_t(buffer.size());
+                    });
                 }
 
                 for (int ci : group.cellIndices) {

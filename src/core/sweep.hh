@@ -8,11 +8,11 @@
  * strategy loop, a decoder-stage microbenchmark) and a set of core
  * configurations, plus the cells of the grid to evaluate. The runner
  * records each referenced trace exactly once (keyed cache), replays
- * it into a fresh timing model per cell (built through the
- * timing::TimingModel factory, so the runner never names a concrete
- * backend), and shards the work across a thread pool. Results land in
- * cell order regardless of scheduling, so reports are byte-identical
- * from 1 thread to N.
+ * it into every cell through batched timing models (built by the
+ * timing::makeBatchedTimingModel factory, so the runner never names a
+ * concrete backend), and shards the work across a thread pool.
+ * Results land in cell order regardless of scheduling, so reports are
+ * byte-identical from 1 thread to N.
  *
  * With a persistent store attached (attachStore), "once" extends
  * across processes: each cacheable trace job probes the store first,
@@ -84,29 +84,6 @@ struct SweepCell {
     int config = mixOnly;
 };
 
-/**
- * How a multi-timing-cell trace group is replayed.
- *
- * Batched (the default) advances every cell of the group from one
- * pass over the record stream (timing::makeBatchedTimingModel): every
- * cell, "pipeline" or "ooo", runs on the shared-window
- * BatchedPipelineSim (one per predictor geometry). PerCell
- * re-walks the buffer once per cell with a standalone per-cell model
- * (timing::makeTimingModel).
- * The two are bit-identical in every simulated field
- * (tests/batched_replay_test.cc and timing_model_test.cc's split
- * cases are the differential harnesses), so
- * PerCell exists as the reference oracle and for debugging, not as a
- * different model.
- */
-enum class ReplayMode { Batched, PerCell };
-
-/// Parse a --replay-mode value. @return false on an unknown name.
-bool parseReplayMode(const std::string &name, ReplayMode &mode);
-
-/// "batched" or "percell".
-const char *replayModeName(ReplayMode mode);
-
 /// Declarative sweep description.
 class SweepPlan
 {
@@ -152,21 +129,22 @@ struct SweepCellResult {
 /**
  * Aggregate runner statistics (for BENCH_*.json artifacts).
  *
- * Invariants, independent of thread count and of which execution path
- * a group took: every unique trace is obtained exactly once - by
- * emulation (counted in tracesRecorded/instrsRecorded) or from the
+ * Invariants, independent of thread count and of the record source a
+ * group replayed from: every unique trace is obtained exactly once -
+ * by emulation (counted in tracesRecorded/instrsRecorded) or from the
  * persistent store (tracesLoaded/instrsLoaded) - and instrsReplayed
- * is the summed trace length over all timing cells (a group whose
- * single timing cell is streamed directly still accounts its
+ * is the summed trace length over all timing cells (a one-cell group
+ * streamed straight from the emulation still accounts its
  * instructions as replayed). Without a store, tracesLoaded and
  * tracesStored are zero and tracesRecorded covers every trace. Time
- * is split by pass kind: pure record passes (recordSeconds), pure
- * buffer-replay passes (replaySeconds), fused single-consumer
- * record+simulate passes (streamSeconds), and pure store reads -
- * summary probes and buffer loads (loadSeconds). A store hit on a
- * single-timing-cell group streams the decoded records straight into
- * the simulator; that fused disk-read+simulate pass is accounted as
- * replaySeconds, like the in-memory replay it replaces.
+ * is split by pass kind and summed over workers and replay shards:
+ * record passes that feed no model (recordSeconds), replay passes
+ * from the in-memory buffer or a store entry (replaySeconds; a
+ * store-hit pass includes its decode), the fused record+simulate
+ * pass of a one-cell group that misses the store (streamSeconds), and
+ * mix-only summary probes (loadSeconds). A replay that fails - a
+ * store entry whose payload does not decode, re-recorded instead -
+ * adds nothing to any field.
  */
 struct SweepStats {
     /// Maximum worker concurrency of the run: group workers times the
@@ -181,15 +159,14 @@ struct SweepStats {
     std::uint64_t instrsReplayed = 0;  //!< records fed to timing sims
     /**
      * Decode/replay passes over trace record streams that fed timing
-     * simulators: a fused or streamed single-cell group is 1 pass, a
-     * batched multi-cell group is 1 pass per replay shard (spare
-     * thread budget splits a group's cells across up to
+     * models: 1 per replay shard of every group with timing cells
+     * (spare thread budget splits a group's cells across up to
      * min(threads, cells) shards, each running its own pass - 1 when
-     * the sweep has at least as many groups as threads), a per-cell
-     * multi-cell group is 1 pass per timing cell, and mix-only groups
-     * contribute none. Informational (it describes how the run
-     * executed, not what was simulated): instrsReplayed stays the
-     * summed trace length over all timing cells in every mode.
+     * the sweep has at least as many groups as threads, and always 1
+     * for a one-cell group); mix-only groups contribute none.
+     * Informational (it describes how the run executed, not what was
+     * simulated): instrsReplayed stays the summed trace length over
+     * all timing cells at any shard count.
      */
     std::uint64_t replayPasses = 0;
     /**
@@ -203,10 +180,10 @@ struct SweepStats {
     /// Payload bytes served zero-copy from an mmap'd store entry,
     /// counted once per opened trace. Informational.
     std::uint64_t bytesMapped = 0;
-    double recordSeconds = 0;  //!< pure record passes, summed across workers
-    double replaySeconds = 0;  //!< buffer-replay passes, summed across workers
-    double streamSeconds = 0;  //!< fused record+simulate fast-path passes
-    double loadSeconds = 0;    //!< store-read passes, summed across workers
+    double recordSeconds = 0;  //!< record passes that feed no model
+    double replaySeconds = 0;  //!< buffer and store-hit replay passes
+    double streamSeconds = 0;  //!< fused record+simulate one-cell passes
+    double loadSeconds = 0;    //!< mix-only store summary probes
     /// Time inside TraceCursor::nextBlock during store-hit replay,
     /// summed across all shards (a subset of replaySeconds).
     double decodeSeconds = 0;
@@ -217,19 +194,27 @@ struct SweepStats {
  * Executes a SweepPlan.
  *
  * Work unit = one trace group (a trace plus all cells that reference
- * it): the worker records the trace once, replays it into every
- * cell's simulator, frees the buffer, and moves on. Groups are
- * sharded over the pool with an atomic cursor; results are written
- * into preallocated cell slots, so output order is deterministic and
- * thread-count independent.
+ * it). Groups are sharded over the pool with an atomic cursor;
+ * results are written into preallocated cell slots, so output order
+ * is deterministic and thread-count independent.
  *
+ * A group with timing cells runs one shard loop: its cells are cut
+ * into contiguous replay shards, and each shard is one
+ * timing::makeBatchedTimingModel fed by one pass over the group's
+ * record source. The source is a TraceCursor over the store entry on
+ * a hit, the in-memory TraceBuffer on a miss with two or more timing
+ * cells, or the live emulation itself on a miss with exactly one, so
+ * a one-cell group never buffers its trace. A mix-only group reads
+ * the store entry's summary or runs one counting record pass.
+ *
+ * The shard count is min(budget, cells), where the budget is the
+ * thread allowance the group level cannot use (threads / workers).
  * When the plan has fewer groups than threads, the spare budget is
- * spent *inside* multi-cell groups: a group's timing cells split
- * across up to min(threads, cells) replay shards, each running its
- * own decode/replay pass (cells are mutually independent, so the
- * split is bit-identical to one pass - tests/sweep_test.cc locks it).
- * A single-big-group sweep therefore uses the full --threads
- * allowance instead of one thread.
+ * therefore spent *inside* groups, each shard running its own
+ * decode/replay pass (cells are mutually independent, so the split
+ * is bit-identical to one pass - tests/sweep_test.cc locks it). A
+ * single-big-group sweep uses the full --threads allowance instead
+ * of one thread.
  */
 class SweepRunner
 {
@@ -251,10 +236,6 @@ class SweepRunner
 
     /// The attached store, or nullptr.
     trace::TraceStore *store() const { return store_.get(); }
-
-    /// Select how multi-cell groups replay (default Batched).
-    void setReplayMode(ReplayMode mode) { replayMode_ = mode; }
-    ReplayMode replayMode() const { return replayMode_; }
 
     /**
      * Force every timing cell onto one TimingModel backend ("pipeline",
@@ -284,7 +265,6 @@ class SweepRunner
     int threads_;
     SweepStats stats_;
     std::unique_ptr<trace::TraceStore> store_;
-    ReplayMode replayMode_ = ReplayMode::Batched;
     std::string timingModel_;  //!< backend override; empty = per-config
 };
 

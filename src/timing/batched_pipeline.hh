@@ -12,8 +12,9 @@
  * the same stream into a standalone makeTimingModel() of its config -
  * PipelineSim or OoOPipelineSim (tests/batched_replay_test.cc is the
  * differential harness that locks this cell for cell; the per-cell
- * models stay available as the reference oracles behind
- * SweepRunner's ReplayMode::PerCell).
+ * models stay available as its reference oracles). SweepRunner
+ * replays every timing cell on this engine, a one-cell group as an
+ * M=1 instance.
  *
  * An "ooo" cell shares all the machinery below and differs from a
  * "pipeline" cell in exactly what OoOPipelineSim differs in:

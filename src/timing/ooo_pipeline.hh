@@ -22,10 +22,10 @@
  * dependence (every aliasing load waits).
  *
  * This class is the per-cell model: makeTimingModel("ooo") returns
- * it, and it is the reference oracle behind SweepRunner's
- * ReplayMode::PerCell. Batched replay runs "ooo" cells as a per-cell
- * issue policy of BatchedPipelineSim (timing/batched_pipeline.hh),
- * which must stay bit-identical to this class - both take the
+ * it, and it is the reference oracle of the differential tests.
+ * SweepRunner runs every "ooo" cell as a per-cell issue policy of
+ * BatchedPipelineSim (timing/batched_pipeline.hh), which must stay
+ * bit-identical to this class - both take the
  * store-set policy from the one StoreSetPredictor
  * (timing/store_set.hh), and tests/batched_replay_test.cc diffs the
  * two over the full counter table.

@@ -6,29 +6,38 @@
  *  - results and SweepStats cell/instruction counts are identical for
  *    1 and N worker threads;
  *  - duplicate addTrace keys dedupe to one recording;
- *  - a group whose single timing cell takes the streamed fast path
+ *  - every timing cell matches a test-local per-cell oracle (one
+ *    standalone makeTimingModel() per cell over a TraceBuffer), for
+ *    any shard count, from memory or from the store;
+ *  - a group whose single timing cell is streamed from the emulation
  *    still populates every mix-only cell and accounts its
- *    instructions as both recorded and replayed;
+ *    instructions as both recorded and replayed, on both backends;
  *  - kernelTraceJob's warmupCalls reproduces shared-bench history;
- *  - a group mixing backends and predictor geometries replays
- *    bit-identically to per-cell replay, sharded or not, from memory
- *    or from the store;
+ *  - a group mixing backends and predictor geometries is split by
+ *    the batched factory without changing any cell;
  *  - with a persistent store attached, a warm run replays every
  *    cacheable trace from disk with zero re-emulation and results
- *    bit-identical to the in-memory path, corrupt entries fall back
- *    to re-recording, and non-cacheable jobs bypass the store.
+ *    bit-identical to the in-memory path, corrupt entries (truncated,
+ *    or failing mid-decode under a valid checksum) fall back to
+ *    re-recording with no stats from the failed pass, and
+ *    non-cacheable jobs bypass the store.
  */
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <stdexcept>
 #include <string>
 
 #include "core/experiment.hh"
 #include "core/result.hh"
 #include "core/sweep.hh"
+#include "timing/model.hh"
 #include "timing/pipeline.hh"
 #include "trace/trace_buffer.hh"
+#include "trace/trace_io.hh"
 
 using namespace uasim;
 using core::KernelBench;
@@ -56,6 +65,62 @@ expectMixEqual(const trace::InstrMix &a, const trace::InstrMix &b)
         auto cls = static_cast<trace::InstrClass>(c);
         EXPECT_EQ(a.count(cls), b.count(cls));
     }
+}
+
+void
+expectResultsEqual(const std::vector<core::SweepCellResult> &a,
+                   const std::vector<core::SweepCellResult> &b)
+{
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a[i].traceKey, b[i].traceKey);
+        EXPECT_EQ(a[i].configLabel, b[i].configLabel);
+        EXPECT_EQ(a[i].traceInstrs, b[i].traceInstrs);
+        expectSimEqual(a[i].sim, b[i].sim);
+        expectMixEqual(a[i].mix, b[i].mix);
+    }
+}
+
+/// Fresh per-test store directory (removed on destruction).
+struct StoreDir {
+    explicit StoreDir(const char *name)
+        : path(::testing::TempDir() + "/uasim_sweep_" + name)
+    {
+        std::filesystem::remove_all(path);
+    }
+    ~StoreDir() { std::filesystem::remove_all(path); }
+    std::string path;
+};
+
+/**
+ * The per-cell reference for @p plan: record each trace into a
+ * TraceBuffer and replay it into one standalone makeTimingModel() per
+ * timing cell (the oracle batched_replay_test's perCellResults uses),
+ * filling every cell like SweepRunner::run does.
+ */
+std::vector<core::SweepCellResult>
+perCellOracle(const SweepPlan &plan)
+{
+    std::vector<trace::TraceBuffer> buffers(plan.traces().size());
+    for (std::size_t t = 0; t < buffers.size(); ++t)
+        plan.traces()[t].record(buffers[t]);
+    std::vector<core::SweepCellResult> out(plan.cells().size());
+    for (std::size_t i = 0; i < out.size(); ++i) {
+        const SweepCell &cell = plan.cells()[i];
+        const trace::TraceBuffer &buf = buffers[std::size_t(cell.trace)];
+        auto &res = out[i];
+        res.traceKey = plan.traces()[std::size_t(cell.trace)].key;
+        res.mix = buf.mix();
+        res.traceInstrs = buf.size();
+        if (cell.config == SweepCell::mixOnly)
+            continue;
+        const core::ConfigJob &cfg = plan.configs()[std::size_t(cell.config)];
+        res.configLabel = cfg.label;
+        auto sim = timing::makeTimingModel(cfg.cfg);
+        buf.replayInto(*sim);
+        res.sim = sim->finalize();
+    }
+    return out;
 }
 
 } // namespace
@@ -169,55 +234,70 @@ TEST(SweepRunner, ResultsAndStatsThreadCountInvariant)
 
 TEST(SweepRunner, SingleTimingCellGroupPopulatesAllCells)
 {
-    // One trace whose group mixes a streamed timing cell with
-    // mix-only cells: the fast path must fill every cell and count
-    // its instructions as both recorded and replayed.
-    SweepPlan plan;
-    int cfg = plan.addConfig("4w", timing::CoreConfig::fourWayOoO());
-    KernelBench bench({KernelId::Sad, 8, false});
-    int t = plan.addTrace(bench.traceJob(Variant::Unaligned, 4));
-    plan.addCell(t, SweepCell::mixOnly);
-    plan.addCell(t, cfg);
-    plan.addCell(t, SweepCell::mixOnly);
+    // One trace whose group mixes one timing cell with mix-only
+    // cells, on both backends. A cold run streams the emulation
+    // straight into the cell's one-cell batched model; a warm run
+    // feeds that model from the store. Either way every cell is
+    // filled, the timing cell matches the per-cell oracle over the
+    // full counter table, and the group is one replay pass.
+    for (const char *model : {"pipeline", "ooo"}) {
+        SCOPED_TRACE(model);
+        auto makePlan = [model] {
+            SweepPlan plan;
+            auto cfg = timing::CoreConfig::fourWayOoO();
+            cfg.model = model;
+            int c = plan.addConfig("4w", cfg);
+            int t = plan.addTrace(core::kernelTraceJob(
+                {KernelId::Sad, 8, false}, Variant::Unaligned, 4));
+            plan.addCell(t, SweepCell::mixOnly);
+            plan.addCell(t, c);
+            plan.addCell(t, SweepCell::mixOnly);
+            return plan;
+        };
+        const auto want = perCellOracle(makePlan());
+        StoreDir dir((std::string("one_cell_") + model).c_str());
 
-    SweepRunner runner(1);
-    auto results = runner.run(plan);
-    ASSERT_EQ(results.size(), 3u);
+        SweepRunner cold(1);
+        cold.attachStore(dir.path);
+        const auto results = cold.run(makePlan());
+        ASSERT_EQ(results.size(), 3u);
+        expectResultsEqual(want, results);
 
-    EXPECT_GT(results[1].sim.cycles, 0u);
-    EXPECT_EQ(results[1].configLabel, "4w");
-    for (const auto &cell : results) {
-        EXPECT_FALSE(cell.traceKey.empty());
-        EXPECT_GT(cell.mix.total(), 0u);
-        EXPECT_EQ(cell.traceInstrs, results[1].traceInstrs);
-        expectMixEqual(cell.mix, results[1].mix);
+        EXPECT_GT(results[1].sim.cycles, 0u);
+        EXPECT_EQ(results[1].configLabel, "4w");
+        for (const auto &cell : results) {
+            EXPECT_FALSE(cell.traceKey.empty());
+            EXPECT_GT(cell.mix.total(), 0u);
+            EXPECT_EQ(cell.traceInstrs, results[1].traceInstrs);
+            expectMixEqual(cell.mix, results[1].mix);
+        }
+        // Mix-only cells carry no simulation.
+        EXPECT_EQ(results[0].sim.cycles, 0u);
+        EXPECT_EQ(results[0].configLabel, "");
+        EXPECT_EQ(results[2].sim.cycles, 0u);
+
+        // The streamed pass counts its instructions as both recorded
+        // and replayed, and its time as streamSeconds.
+        const auto &cs = cold.stats();
+        EXPECT_EQ(cs.tracesRecorded, 1u);
+        EXPECT_EQ(cs.tracesStored, 1u);
+        EXPECT_EQ(cs.cellsRun, 3u);
+        EXPECT_EQ(cs.instrsRecorded, results[1].traceInstrs);
+        EXPECT_EQ(cs.instrsReplayed, results[1].traceInstrs);
+        EXPECT_EQ(cs.replayPasses, 1u);
+        EXPECT_EQ(cs.replaySeconds, 0.0);
+
+        SweepRunner warm(1);
+        warm.attachStore(dir.path);
+        expectResultsEqual(want, warm.run(makePlan()));
+        const auto &ws = warm.stats();
+        EXPECT_EQ(ws.tracesRecorded, 0u);
+        EXPECT_EQ(ws.tracesLoaded, 1u);
+        EXPECT_EQ(ws.instrsReplayed, results[1].traceInstrs);
+        EXPECT_EQ(ws.replayPasses, 1u);
+        EXPECT_GT(ws.decodeBytes, 0u);
+        EXPECT_EQ(ws.streamSeconds, 0.0);
     }
-    // Mix-only cells carry no simulation.
-    EXPECT_EQ(results[0].sim.cycles, 0u);
-    EXPECT_EQ(results[0].configLabel, "");
-    EXPECT_EQ(results[2].sim.cycles, 0u);
-
-    const auto &stats = runner.stats();
-    EXPECT_EQ(stats.tracesRecorded, 1u);
-    EXPECT_EQ(stats.cellsRun, 3u);
-    EXPECT_EQ(stats.instrsRecorded, results[1].traceInstrs);
-    EXPECT_EQ(stats.instrsReplayed, results[1].traceInstrs);
-
-    // The streamed result is the same one the buffered path produces.
-    SweepPlan buffered;
-    int c2 = buffered.addConfig("4w",
-                                timing::CoreConfig::fourWayOoO());
-    KernelBench bench2({KernelId::Sad, 8, false});
-    int t2 = buffered.addTrace(bench2.traceJob(Variant::Unaligned, 4));
-    buffered.addCell(t2, c2);
-    buffered.addCell(t2, c2);  // two timing cells force the buffer
-    SweepRunner bufRunner(1);
-    auto bufResults = bufRunner.run(buffered);
-    ASSERT_EQ(bufResults.size(), 2u);
-    expectSimEqual(results[1].sim, bufResults[0].sim);
-    expectSimEqual(bufResults[0].sim, bufResults[1].sim);
-    EXPECT_EQ(bufRunner.stats().instrsReplayed,
-              2 * bufResults[0].traceInstrs);
 }
 
 namespace {
@@ -256,30 +336,24 @@ makeStorePlan()
     return plan;
 }
 
-void
-expectResultsEqual(const std::vector<core::SweepCellResult> &a,
-                   const std::vector<core::SweepCellResult> &b)
-{
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i].traceKey, b[i].traceKey);
-        EXPECT_EQ(a[i].configLabel, b[i].configLabel);
-        EXPECT_EQ(a[i].traceInstrs, b[i].traceInstrs);
-        expectSimEqual(a[i].sim, b[i].sim);
-        expectMixEqual(a[i].mix, b[i].mix);
-    }
-}
 
-/// Fresh per-test store directory (removed on destruction).
-struct StoreDir {
-    explicit StoreDir(const char *name)
-        : path(::testing::TempDir() + "/uasim_sweep_" + name)
-    {
-        std::filesystem::remove_all(path);
+/// One trace group, 16 timing cells: the worst case for group-level
+/// parallelism (pool collapses to one worker) and the best case for
+/// intra-group cell sharding.
+SweepPlan
+makeSingleBigGroupPlan(int execs = 4)
+{
+    const KernelSpec spec{KernelId::Sad, 16, false};
+    SweepPlan plan;
+    int t = plan.addTrace(
+        core::kernelTraceJob(spec, Variant::Unaligned, execs));
+    for (int i = 0; i < 16; ++i) {
+        auto cfg = (i % 2) ? timing::CoreConfig::fourWayOoO()
+                           : timing::CoreConfig::twoWayInOrder();
+        plan.addCell(t, plan.addConfig("c" + std::to_string(i), cfg));
     }
-    ~StoreDir() { std::filesystem::remove_all(path); }
-    std::string path;
-};
+    return plan;
+}
 
 } // namespace
 
@@ -348,6 +422,38 @@ TEST(SweepStore, CorruptEntryFallsBackToRecordingAndHeals)
     EXPECT_EQ(warm.stats().tracesLoaded, 4u);
 }
 
+TEST(SweepStore, UnknownTimingModelKeepsStoreEntries)
+{
+    // A run that fails on its configuration, not on its input, must
+    // leave valid store entries where they are. A one-cell group
+    // builds its model before it would re-record, so a discarded
+    // entry would stay lost.
+    auto makePlan = [] {
+        SweepPlan plan;
+        int t = plan.addTrace(core::kernelTraceJob(
+            {KernelId::Sad, 8, false}, Variant::Unaligned, 4));
+        plan.addCell(
+            t, plan.addConfig("4w", timing::CoreConfig::fourWayOoO()));
+        return plan;
+    };
+    StoreDir dir("bad_model");
+    SweepRunner cold(1);
+    cold.attachStore(dir.path);
+    const auto want = cold.run(makePlan());
+
+    SweepRunner bad(1);
+    bad.attachStore(dir.path);
+    bad.setTimingModel("no-such-model");
+    EXPECT_THROW(bad.run(makePlan()), std::invalid_argument);
+    EXPECT_TRUE(std::filesystem::exists(
+        cold.store()->entryPath(makePlan().traces()[0].key)));
+
+    SweepRunner warm(1);
+    warm.attachStore(dir.path);
+    expectResultsEqual(want, warm.run(makePlan()));
+    EXPECT_EQ(warm.stats().tracesLoaded, 1u);
+}
+
 TEST(SweepStore, NonCacheableJobsBypassTheStore)
 {
     StoreDir dir("nocache");
@@ -399,91 +505,63 @@ TEST(SweepTraceJob, WarmupReproducesSharedBenchHistory)
     expectSimEqual(want, sim.finalize());
 }
 
-// ---- replay modes (batched vs per-cell) ----
+// ---- replay against the per-cell oracle ----
 
-TEST(SweepReplayMode, ParseAndName)
+TEST(SweepReplay, MatchesPerCellOracleWithOnePassPerGroup)
 {
-    core::ReplayMode mode;
-    ASSERT_TRUE(core::parseReplayMode("batched", mode));
-    EXPECT_EQ(mode, core::ReplayMode::Batched);
-    ASSERT_TRUE(core::parseReplayMode("percell", mode));
-    EXPECT_EQ(mode, core::ReplayMode::PerCell);
-    EXPECT_FALSE(core::parseReplayMode("", mode));
-    EXPECT_FALSE(core::parseReplayMode("Batched", mode));
-    EXPECT_FALSE(core::parseReplayMode("per-cell", mode));
-    EXPECT_STREQ(core::replayModeName(core::ReplayMode::Batched),
-                 "batched");
-    EXPECT_STREQ(core::replayModeName(core::ReplayMode::PerCell),
-                 "percell");
-}
-
-TEST(SweepReplayMode, BatchedIsTheDefaultAndBitIdenticalToPerCell)
-{
-    SweepRunner batched(1);
-    EXPECT_EQ(batched.replayMode(), core::ReplayMode::Batched);
-    auto a = batched.run(makeStorePlan());
-
-    SweepRunner percell(1);
-    percell.setReplayMode(core::ReplayMode::PerCell);
-    auto b = percell.run(makeStorePlan());
-    expectResultsEqual(a, b);
+    SweepRunner runner(1);
+    const auto got = runner.run(makeStorePlan());
+    const auto want = perCellOracle(makeStorePlan());
+    expectResultsEqual(want, got);
 
     // makeStorePlan groups: two multi-cell (2 timing cells each), one
-    // fused single-cell, one mix-only. Batched replays each multi-
-    // cell group in ONE pass; percell re-walks the buffer per cell.
-    // Mix-only groups replay nothing in either mode.
-    EXPECT_EQ(batched.stats().replayPasses, 3u);
-    EXPECT_EQ(percell.stats().replayPasses, 5u);
+    // single-cell, one mix-only. Each group with timing cells replays
+    // in ONE pass at one thread; mix-only groups replay nothing.
+    EXPECT_EQ(runner.stats().replayPasses, 3u);
 
     // The simulated instrsReplayed accounting (instructions times
     // timing cells) must NOT depend on the pass count - it gates
     // bit-exactly in uasim-report.
-    EXPECT_EQ(batched.stats().instrsReplayed,
-              percell.stats().instrsReplayed);
-    EXPECT_EQ(batched.stats().cellsRun, percell.stats().cellsRun);
-    EXPECT_EQ(batched.stats().instrsRecorded,
-              percell.stats().instrsRecorded);
+    std::uint64_t timingInstrs = 0;
+    for (const auto &cell : want) {
+        if (!cell.configLabel.empty())
+            timingInstrs += cell.traceInstrs;
+    }
+    EXPECT_EQ(runner.stats().instrsReplayed, timingInstrs);
+    EXPECT_EQ(runner.stats().cellsRun, std::uint64_t(want.size()));
 }
 
-TEST(SweepReplayMode, ThreadCountInvariantInBothModes)
+TEST(SweepReplay, ThreadCountInvariant)
 {
-    auto runWith = [](core::ReplayMode mode, int threads) {
+    auto runWith = [](int threads) {
         SweepRunner runner(threads);
-        runner.setReplayMode(mode);
         auto results = runner.run(makeStorePlan());
         return std::pair(std::move(results), runner.stats());
     };
-    auto [b1, sb1] = runWith(core::ReplayMode::Batched, 1);
-    auto [b4, sb4] = runWith(core::ReplayMode::Batched, 4);
-    auto [p1, sp1] = runWith(core::ReplayMode::PerCell, 1);
-    auto [p4, sp4] = runWith(core::ReplayMode::PerCell, 4);
+    auto [r1, s1] = runWith(1);
+    auto [r4, s4] = runWith(4);
 
-    expectResultsEqual(b1, b4);
-    expectResultsEqual(b1, p1);
-    expectResultsEqual(b1, p4);
-
-    EXPECT_EQ(sb1.replayPasses, sb4.replayPasses);
-    EXPECT_EQ(sp1.replayPasses, sp4.replayPasses);
-    EXPECT_EQ(sb1.instrsReplayed, sp4.instrsReplayed);
+    expectResultsEqual(r1, r4);
+    expectResultsEqual(perCellOracle(makeStorePlan()), r4);
+    EXPECT_EQ(s1.replayPasses, s4.replayPasses);
+    EXPECT_EQ(s1.instrsReplayed, s4.instrsReplayed);
 }
 
-TEST(SweepReplayMode, ColdWarmStoreBitIdenticalUnderBatched)
+TEST(SweepReplay, ColdWarmStoreBitIdentical)
 {
     StoreDir dir("batched_warm");
-    auto baseline = SweepRunner(1).run(makeStorePlan());
+    const auto want = perCellOracle(makeStorePlan());
 
     SweepRunner cold(1);
     cold.attachStore(dir.path);
-    auto coldResults = cold.run(makeStorePlan());
-    expectResultsEqual(baseline, coldResults);
+    expectResultsEqual(want, cold.run(makeStorePlan()));
     const auto &cs = cold.stats();
     EXPECT_EQ(cs.tracesRecorded, 4u);
     EXPECT_EQ(cs.tracesLoaded, 0u);
 
     SweepRunner warm(1);
     warm.attachStore(dir.path);
-    auto warmResults = warm.run(makeStorePlan());
-    expectResultsEqual(baseline, warmResults);
+    expectResultsEqual(want, warm.run(makeStorePlan()));
     const auto &ws = warm.stats();
     EXPECT_EQ(ws.tracesRecorded, 0u);
     EXPECT_EQ(ws.tracesLoaded, 4u);
@@ -492,19 +570,11 @@ TEST(SweepReplayMode, ColdWarmStoreBitIdenticalUnderBatched)
     // many times the group replays them or what gets simulated.
     EXPECT_EQ(ws.replayPasses, cs.replayPasses);
     EXPECT_EQ(ws.instrsReplayed, cs.instrsReplayed);
-
-    // Warm per-cell replay agrees too (store-hit percell path).
-    SweepRunner warmPercell(1);
-    warmPercell.setReplayMode(core::ReplayMode::PerCell);
-    warmPercell.attachStore(dir.path);
-    expectResultsEqual(baseline, warmPercell.run(makeStorePlan()));
-    EXPECT_EQ(warmPercell.stats().tracesLoaded, 4u);
-    EXPECT_GT(warmPercell.stats().replayPasses, ws.replayPasses);
 }
 
-TEST(SweepReplayMode, SingleCellAndMixOnlyPassAccounting)
+TEST(SweepReplay, SingleCellAndMixOnlyPassAccounting)
 {
-    // Fused single-timing-cell group: one streamed pass.
+    // Single-timing-cell group: one streamed pass.
     SweepPlan fused;
     int cfg = fused.addConfig("4w", timing::CoreConfig::fourWayOoO());
     KernelBench bench({KernelId::Sad, 8, false});
@@ -526,27 +596,6 @@ TEST(SweepReplayMode, SingleCellAndMixOnlyPassAccounting)
 
 // ---- intra-group cell sharding (single big group) ----
 
-namespace {
-
-/// One trace group, 16 timing cells: the worst case for group-level
-/// parallelism (pool collapses to one worker) and the best case for
-/// intra-group cell sharding.
-SweepPlan
-makeSingleBigGroupPlan()
-{
-    const KernelSpec spec{KernelId::Sad, 16, false};
-    SweepPlan plan;
-    int t = plan.addTrace(core::kernelTraceJob(spec, Variant::Unaligned, 4));
-    for (int i = 0; i < 16; ++i) {
-        auto cfg = (i % 2) ? timing::CoreConfig::fourWayOoO()
-                           : timing::CoreConfig::twoWayInOrder();
-        plan.addCell(t, plan.addConfig("c" + std::to_string(i), cfg));
-    }
-    return plan;
-}
-
-} // namespace
-
 TEST(SweepSharding, SingleBigGroupUsesFullThreadBudget)
 {
     // Before sharding, a 1-group sweep at --threads 8 ran on one
@@ -558,6 +607,7 @@ TEST(SweepSharding, SingleBigGroupUsesFullThreadBudget)
     auto a = one.run(makeSingleBigGroupPlan());
     auto b = eight.run(makeSingleBigGroupPlan());
     expectResultsEqual(a, b);
+    expectResultsEqual(perCellOracle(makeSingleBigGroupPlan()), b);
 
     // 1 thread: one batched pass over the group. 8 threads: 8 shards,
     // each running its own pass - honest pass accounting - and
@@ -571,14 +621,6 @@ TEST(SweepSharding, SingleBigGroupUsesFullThreadBudget)
     EXPECT_EQ(one.stats().instrsReplayed, eight.stats().instrsReplayed);
     EXPECT_EQ(one.stats().cellsRun, eight.stats().cellsRun);
     EXPECT_EQ(one.stats().instrsRecorded, eight.stats().instrsRecorded);
-
-    // PerCell mode shards too and stays bit-identical: 8 shards of 2
-    // cells, each cell still its own pass.
-    SweepRunner percell(8);
-    percell.setReplayMode(core::ReplayMode::PerCell);
-    expectResultsEqual(a, percell.run(makeSingleBigGroupPlan()));
-    EXPECT_EQ(percell.stats().replayPasses, 16u);
-    EXPECT_EQ(percell.stats().threads, 8);
 }
 
 TEST(SweepSharding, WarmStoreShardedReplayBitIdenticalAndAccounted)
@@ -646,9 +688,7 @@ TEST(SweepSharding, MixedBackendAndGeometryGroupMatchesPerCell)
         return plan;
     };
 
-    SweepRunner percell(1);
-    percell.setReplayMode(core::ReplayMode::PerCell);
-    const auto want = percell.run(makePlan());
+    const auto want = perCellOracle(makePlan());
     ASSERT_EQ(want.size(), 8u);
 
     StoreDir dir("mixed_group");
@@ -667,11 +707,125 @@ TEST(SweepSharding, MixedBackendAndGeometryGroupMatchesPerCell)
             expectResultsEqual(want, runner.run(makePlan()));
             const auto &st = runner.stats();
             EXPECT_EQ(st.replayPasses, std::uint64_t(threads));
-            EXPECT_EQ(st.instrsReplayed, percell.stats().instrsReplayed);
+            EXPECT_EQ(st.instrsReplayed, 8 * want[0].traceInstrs);
             if (warmStore) {
                 EXPECT_EQ(st.tracesRecorded, 0u);
                 EXPECT_EQ(st.tracesLoaded, 1u);
             }
         }
+    }
+}
+
+// ---- a store entry that passes its checksum but fails to decode ----
+
+namespace {
+
+/**
+ * Rewrite @p key's store entry so its payload turns bad past the
+ * runner's first 1024-record decode block: one record's class byte
+ * becomes the out-of-range class 63, and the payload checksum is
+ * recomputed, so the entry opens cleanly and fails mid-decode (the
+ * corruption TraceIoCorruption.InvalidClassByteRejected plants).
+ */
+void
+plantBadClassByte(const trace::TraceStore &store, const std::string &key)
+{
+    const std::string path = store.entryPath(key);
+    std::string file;
+    {
+        std::ifstream in(path, std::ios::binary);
+        ASSERT_TRUE(in) << path;
+        file.assign(std::istreambuf_iterator<char>(in), {});
+    }
+    trace::TraceReader reader(path, key);
+    ASSERT_GT(reader.count(), 1100u) << "trace too short to fail "
+                                        "past the first decode block";
+    const std::size_t payloadAt = file.size() - reader.payloadBytes();
+    std::string payload = file.substr(payloadAt);
+
+    // Walk to a record boundary inside the second decode block.
+    const std::uint64_t victim = 1024 + (reader.count() - 1024) / 2;
+    const auto *base = reinterpret_cast<const std::uint8_t *>(payload.data());
+    const std::uint8_t *p = base;
+    trace::wire::RecordDecoder dec;
+    trace::InstrRecord rec;
+    for (std::uint64_t i = 0; i < victim; ++i)
+        dec.decode(p, base + payload.size(), rec);
+
+    auto rebuild = [&](const std::string &body) {
+        trace::wire::Header h;
+        h.keyBytes = std::uint32_t(key.size());
+        h.recordCount = reader.count();
+        h.payloadBytes = body.size();
+        h.payloadHash = trace::wire::fnv1a(body.data(), body.size());
+        h.keyHash = trace::wire::fnv1a(key.data(), key.size());
+        const std::string mix = trace::wire::serializeMix(reader.mix());
+        h.mixHash = trace::wire::fnv1a(mix.data(), mix.size());
+        return h.serialize() + key + mix + body;
+    };
+    // The rebuild reproduces the writer's layout byte for byte.
+    ASSERT_TRUE(rebuild(payload) == file);
+    payload[std::size_t(p - base)] = char(0x3f);  // cls 63
+
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    const std::string bad = rebuild(payload);
+    out.write(bad.data(), std::streamsize(bad.size()));
+    ASSERT_TRUE(out.good()) << path;
+}
+
+} // namespace
+
+TEST(SweepStore, MidDecodeFailureFallsBackToRecordingAndHeals)
+{
+    // A one-cell group (one streamed pass) and the 16-cell big group
+    // at 8 threads (8 cursor shards over one mapping): either way the
+    // failed store hit is discarded, the group re-records and stores
+    // a healed entry, and the failed passes leave no trace in stats.
+    for (bool bigGroup : {false, true}) {
+        SCOPED_TRACE(bigGroup ? "16-cell group, 8 threads"
+                              : "one-cell group, 1 thread");
+        // 16 executions: a trace of more than two decode blocks.
+        auto makePlan = [bigGroup] {
+            if (bigGroup)
+                return makeSingleBigGroupPlan(16);
+            SweepPlan plan;
+            int t = plan.addTrace(core::kernelTraceJob(
+                {KernelId::Sad, 16, false}, Variant::Unaligned, 16));
+            plan.addCell(
+                t, plan.addConfig("4w", timing::CoreConfig::fourWayOoO()));
+            return plan;
+        };
+        const int threads = bigGroup ? 8 : 1;
+        StoreDir dir(bigGroup ? "mid_decode_big" : "mid_decode_one");
+        const auto want = perCellOracle(makePlan());
+
+        SweepRunner cold(threads);
+        cold.attachStore(dir.path);
+        expectResultsEqual(want, cold.run(makePlan()));
+        ASSERT_EQ(cold.stats().tracesStored, 1u);
+        plantBadClassByte(*cold.store(), makePlan().traces()[0].key);
+        if (HasFatalFailure())
+            return;
+
+        SweepRunner heal(threads);
+        heal.attachStore(dir.path);
+        expectResultsEqual(want, heal.run(makePlan()));
+        const auto &hs = heal.stats();
+        EXPECT_EQ(hs.tracesRecorded, 1u);
+        EXPECT_EQ(hs.tracesLoaded, 0u);
+        EXPECT_EQ(hs.tracesStored, 1u);
+        EXPECT_EQ(hs.instrsLoaded, 0u);
+        EXPECT_EQ(hs.decodeSeconds, 0.0);
+        EXPECT_EQ(hs.decodeBytes, 0u);
+        EXPECT_EQ(hs.bytesMapped, 0u);
+        EXPECT_EQ(hs.replayPasses, cold.stats().replayPasses);
+        EXPECT_EQ(hs.instrsReplayed, cold.stats().instrsReplayed);
+
+        // The next run loads the healed entry.
+        SweepRunner warm(threads);
+        warm.attachStore(dir.path);
+        expectResultsEqual(want, warm.run(makePlan()));
+        EXPECT_EQ(warm.stats().tracesRecorded, 0u);
+        EXPECT_EQ(warm.stats().tracesLoaded, 1u);
     }
 }

@@ -58,7 +58,6 @@ usage(const char *argv0, bool requested)
         "                      single-process run\n"
         "  --threads N         sweep worker threads (default: hardware)\n"
         "  --trace-cache DIR   persistent content-addressed trace store\n"
-        "  --replay-mode M     batched (default) or percell\n"
         "\n"
         "expand prints the campaign identity, grid shape, and chunk ->\n"
         "shard table without simulating.\n"
@@ -105,7 +104,6 @@ struct Options {
     std::string jsonDir;
     int threads = 0;
     std::string traceCache;
-    uasim::core::ReplayMode replayMode = uasim::core::ReplayMode::Batched;
 };
 
 int
@@ -146,7 +144,6 @@ runRun(const Campaign &c, const Options &opt)
     ro.jsonDir = opt.jsonDir;
     ro.threads = opt.threads;
     ro.traceCache = opt.traceCache;
-    ro.replayMode = opt.replayMode;
 
     const CampaignRunOutcome out = uasim::core::runCampaignShard(c, ro);
     for (const auto &s : out.chunks)
@@ -204,15 +201,6 @@ main(int argc, char **argv)
             }
         } else if (std::strcmp(argv[i], "--trace-cache") == 0) {
             opt.traceCache = operand(argc, argv, i);
-        } else if (std::strcmp(argv[i], "--replay-mode") == 0) {
-            const char *mode = operand(argc, argv, i);
-            if (!uasim::core::parseReplayMode(mode, opt.replayMode)) {
-                std::fprintf(stderr,
-                             "%s: unknown replay mode '%s' (want "
-                             "batched or percell)\n",
-                             argv[0], mode);
-                return 2;
-            }
         } else if (argv[i][0] == '-') {
             std::fprintf(stderr, "%s: unknown flag %s\n", argv[0],
                          argv[i]);
