@@ -382,6 +382,9 @@ TEST(SweepStore, WarmRunReplaysFromDiskBitIdentical)
     EXPECT_EQ(ws.tracesStored, 0u);
     EXPECT_EQ(ws.instrsRecorded, 0u);
     EXPECT_EQ(ws.instrsLoaded, cs.instrsRecorded);
+    // A store hit changes where the records come from, never how
+    // many times the group replays them or what gets simulated.
+    EXPECT_EQ(ws.replayPasses, cs.replayPasses);
     EXPECT_EQ(ws.instrsReplayed, cs.instrsReplayed);
 
     // Warm with a thread pool: still bit-identical, still zero
@@ -545,31 +548,6 @@ TEST(SweepReplay, ThreadCountInvariant)
     expectResultsEqual(perCellOracle(makeStorePlan()), r4);
     EXPECT_EQ(s1.replayPasses, s4.replayPasses);
     EXPECT_EQ(s1.instrsReplayed, s4.instrsReplayed);
-}
-
-TEST(SweepReplay, ColdWarmStoreBitIdentical)
-{
-    StoreDir dir("batched_warm");
-    const auto want = perCellOracle(makeStorePlan());
-
-    SweepRunner cold(1);
-    cold.attachStore(dir.path);
-    expectResultsEqual(want, cold.run(makeStorePlan()));
-    const auto &cs = cold.stats();
-    EXPECT_EQ(cs.tracesRecorded, 4u);
-    EXPECT_EQ(cs.tracesLoaded, 0u);
-
-    SweepRunner warm(1);
-    warm.attachStore(dir.path);
-    expectResultsEqual(want, warm.run(makeStorePlan()));
-    const auto &ws = warm.stats();
-    EXPECT_EQ(ws.tracesRecorded, 0u);
-    EXPECT_EQ(ws.tracesLoaded, 4u);
-
-    // A store hit changes where the records come from, never how
-    // many times the group replays them or what gets simulated.
-    EXPECT_EQ(ws.replayPasses, cs.replayPasses);
-    EXPECT_EQ(ws.instrsReplayed, cs.instrsReplayed);
 }
 
 TEST(SweepReplay, SingleCellAndMixOnlyPassAccounting)
