@@ -102,6 +102,24 @@ SweepRunner::run(const SweepPlan &plan)
         return g.cellIndices.empty();
     });
 
+    // The configs the runner simulates: the backend override is
+    // applied on the runner's private copy, so the plan keeps
+    // describing the grid and the runner decides which model
+    // simulates it. Every timing cell's config is validated here,
+    // before any worker starts, so a bad one fails the run before
+    // anything is emulated or written to the store.
+    std::vector<timing::CoreConfig> cfgs;
+    cfgs.reserve(plan.configs().size());
+    for (const ConfigJob &job : plan.configs()) {
+        cfgs.push_back(job.cfg);
+        if (!timingModel_.empty())
+            cfgs.back().model = timingModel_;
+    }
+    for (const SweepCell &cell : plan.cells()) {
+        if (cell.config != SweepCell::mixOnly)
+            cfgs[std::size_t(cell.config)].validate();
+    }
+
     std::vector<SweepCellResult> results(plan.cells().size());
 
     struct WorkerTotals {
@@ -177,14 +195,7 @@ SweepRunner::run(const SweepPlan &plan)
                     if (cell.config == SweepCell::mixOnly)
                         continue;
                     timingCis.push_back(ci);
-                    timing::CoreConfig cfg =
-                        plan.configs()[cell.config].cfg;
-                    // The backend override is applied on the runner's
-                    // private copy: the plan keeps describing the grid,
-                    // the runner decides which model simulates it.
-                    if (!timingModel_.empty())
-                        cfg.model = timingModel_;
-                    timingCfgs.push_back(std::move(cfg));
+                    timingCfgs.push_back(cfgs[std::size_t(cell.config)]);
                 }
                 const int timingCells = int(timingCis.size());
 
@@ -310,9 +321,8 @@ SweepRunner::run(const SweepPlan &plan)
                             ++local.tracesLoaded;
                             fromStore = true;
                         } catch (const std::runtime_error &e) {
-                            // A decode error; a bad config
-                            // (std::invalid_argument) is no fault of
-                            // the entry and fails the run instead.
+                            // A decode error (every config was
+                            // validated before the workers started).
                             store->discardEntry(job.key, e.what());
                         }
                     }

@@ -243,9 +243,9 @@ class SweepRunner
      * of CoreConfig::model when the runner copies each cell's config,
      * so plans keep encoding the paper grid and the backend stays a
      * run-time axis. Empty (the default) leaves each config's own
-     * model field in charge. An unknown name surfaces as
-     * std::invalid_argument from the factory when run() reaches the
-     * first timing cell.
+     * model field in charge. An unknown name makes run() throw
+     * std::invalid_argument before it emulates, replays or stores
+     * anything.
      */
     void setTimingModel(std::string model)
     {
@@ -253,7 +253,11 @@ class SweepRunner
     }
     const std::string &timingModel() const { return timingModel_; }
 
-    /// Run the plan. @return per-cell results in plan cell order.
+    /**
+     * Run the plan. @return per-cell results in plan cell order.
+     * @throws std::invalid_argument if a timing cell's config fails
+     * CoreConfig::validate(), before any work starts.
+     */
     std::vector<SweepCellResult> run(const SweepPlan &plan);
 
     /// Statistics of the most recent run().

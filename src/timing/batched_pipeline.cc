@@ -18,16 +18,10 @@ namespace {
 unsigned
 checkedGeometry(const std::vector<CoreConfig> &cfgs)
 {
-    // Same rule as PipelineSim: reject a bad group before sizing
-    // anything from it (the shared predictor table, any cell).
+    // Reject a bad group before sizing anything from it (the shared
+    // predictor table, any cell).
     for (const auto &cfg : cfgs) {
         cfg.validate();
-        if (cfg.model != "pipeline" && cfg.model != "ooo") {
-            throw std::invalid_argument(
-                "BatchedPipelineSim: cell \"" + cfg.name +
-                "\" has model \"" + cfg.model +
-                "\", not \"pipeline\" or \"ooo\"");
-        }
         if (cfg.bpredLog2Entries != cfgs.front().bpredLog2Entries) {
             throw std::invalid_argument(
                 "BatchedPipelineSim: cells mix bpredLog2Entries " +
@@ -113,8 +107,8 @@ BatchedPipelineSim::stageRecord(const InstrRecord &rec)
 void
 BatchedPipelineSim::advanceCell(Cell &cell, std::uint64_t fedEnd)
 {
-    // Same backpressure rule as PipelineSim::feed(), one record at a
-    // time: stage, then pump cycles while pending exceeds the cap.
+    // The reference model's backpressure rule, one record at a time:
+    // stage, then pump cycles while pending exceeds the cap.
     while (cell.fed < fedEnd) {
         ++cell.fed;
         while (cell.fed - cell.fetchPos > cell.pendingCap)
@@ -153,8 +147,8 @@ BatchedPipelineSim::finalizeAll()
     if (!finalized_) {
         for (auto &cell : cells_) {
             assert(cell.fed == feedSeq_);
-            // Guard against pathological deadlock, as
-            // PipelineSim::finalize() does.
+            // Guard against pathological deadlock, as the reference
+            // model does.
             std::uint64_t limit = cell.now + 1000000 +
                 1000 * (cell.fed - cell.retirePos);
             while (cell.retirePos < cell.fed) {
@@ -423,10 +417,9 @@ BatchedPipelineSim::tryIssue(Cell &cell, std::uint64_t seq)
             ++cell.res.storeForwards;
         } else {
             auto &l1d = cell.mem.l1d();
-            // Mirrors PipelineSim via the shared
-            // CoreConfig::crossingLoadNeedsSecondPort() rule, run
-            // before the cache access so a port-starved retry cannot
-            // touch cache state.
+            // The shared CoreConfig::crossingLoadNeedsSecondPort()
+            // rule, run before the cache access so a port-starved
+            // retry cannot touch cache state.
             bool crosses =
                 l1d.lineAddr(rec.addr) !=
                 l1d.lineAddr(rec.addr + rec.size - 1);
@@ -460,8 +453,8 @@ BatchedPipelineSim::tryIssue(Cell &cell, std::uint64_t seq)
             if (acc.l1Miss)
                 cell.mshr.push_back(cell.now + cell.cfg.lat.load + extra);
             if (blocker) {
-                // "ooo" ordering violation taken, as in OoOPipelineSim:
-                // train the pair and charge the replay cost.
+                // "ooo" ordering violation taken: train the pair and
+                // charge the replay cost.
                 cell.storeSets->train(rec.pc, blocker->pc);
                 extra += cell.cfg.memReplayPenalty;
             }
@@ -521,7 +514,8 @@ BatchedPipelineSim::issueStage(Cell &cell)
 {
     // Scan only the Waiting slots (in ROB order): tryIssue is
     // side-effect-free for slots it is never called on, so skipping
-    // Issued slots reproduces PipelineSim's full-ROB walk exactly.
+    // Issued slots reproduces the reference model's full-ROB walk
+    // exactly.
     auto &waiting = cell.waiting;
     const std::size_t n = waiting.size();
     std::size_t keep = 0;
@@ -542,9 +536,9 @@ BatchedPipelineSim::issueStage(Cell &cell)
     } else {
         // Near-program-order issue with a bounded static-scheduling
         // window (see CoreConfig::inorderLookahead); the lookahead
-        // counts Waiting slots examined, as PipelineSim's walk does -
-        // a wake-skipped slot was still examined by the oracle's walk,
-        // so it consumes lookahead all the same.
+        // counts Waiting slots examined, as the oracle's walk does -
+        // a wake-skipped slot was still examined there, so it
+        // consumes lookahead all the same.
         int seen = 0;
         for (; i < n; ++i) {
             if (cell.issueTokens <= 0)

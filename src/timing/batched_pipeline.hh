@@ -1,23 +1,24 @@
 /**
  * @file
- * Batched multi-configuration replay: one decoded trace record
- * advances N independent timing-cell states in a single pass.
+ * The timing engine: one decoded trace record advances N independent
+ * timing-cell states in a single pass.
  *
  * A BatchedPipelineSim holds one machine state per CoreConfig of a
  * sweep group and consumes the instruction stream exactly once,
- * instead of the per-cell path's one full replay per configuration.
- * It is the batched engine of both registered backends: a cell runs
- * the "pipeline" or the "ooo" issue policy by its CoreConfig::model,
- * and every cell's simulated counters are bit-identical to feeding
- * the same stream into a standalone makeTimingModel() of its config -
- * PipelineSim or OoOPipelineSim (tests/batched_replay_test.cc is the
- * differential harness that locks this cell for cell; the per-cell
- * models stay available as its reference oracles). SweepRunner
- * replays every timing cell on this engine, a one-cell group as an
- * M=1 instance.
+ * instead of one full replay per configuration. It is the only
+ * engine of both registered backends: a cell runs the "pipeline" or
+ * the "ooo" issue policy by its CoreConfig::model. SweepRunner
+ * replays every timing cell on it, and makeTimingModel() is its M=1
+ * case. Every cell's simulated counters are bit-identical to feeding
+ * the same stream into the per-cell reference model,
+ * tests/reference_pipeline.hh, which is built into the tests only:
+ * a deliberately plain model of one core (deques, a full-ROB issue
+ * walk, one retry per blocked slot per cycle) that
+ * tests/batched_replay_test.cc diffs this engine against, cell for
+ * cell.
  *
  * An "ooo" cell shares all the machinery below and differs from a
- * "pipeline" cell in exactly what OoOPipelineSim differs in:
+ * "pipeline" cell in four places, the same four as in the oracle:
  *
  *  - **Scan:** the waiting list is scanned fully out of order, with
  *    no inorderLookahead bound (outOfOrder is ignored).
@@ -34,7 +35,7 @@
  *    speculating load that finds the MSHR file full also retries at
  *    now + 1 (its blocker may become a forwarder at fwdReady).
  *
- * Why it is faster than N standalone models, while staying
+ * Why it is faster than N runs of the reference model, while staying
  * bit-identical:
  *
  *  - **Shared record window.** All cells consume the same records in
@@ -53,7 +54,7 @@
  *    I-cache and data hierarchy are NOT shareable - they couple
  *    through the unified L2, whose contents depend on per-cell issue
  *    timing - so each cell owns a full MemoryHierarchy.)
- *  - **Waiting-list issue scan.** PipelineSim's issue stage walks the
+ *  - **Waiting-list issue scan.** The oracle's issue stage walks the
  *    whole ROB (up to cfg.inflight entries) every cycle even when
  *    almost all slots are already issued. Only Waiting slots can
  *    issue, tryIssue is side-effect-free for slots it is never called
@@ -87,10 +88,10 @@
  *    of now + 1, which forbids the jump (see idleJump()).
  *
  * Field-table rule (core/result.hh): a counter added to SimResult
- * must be accumulated here as well as in PipelineSim and
- * OoOPipelineSim, and batched_replay_test compares the engines over
- * the full simResultFields() table - a counter wired into only one
- * engine fails the harness instead of silently diverging.
+ * must be accumulated here and in the reference model
+ * (tests/reference_pipeline.cc), and batched_replay_test compares the
+ * two over the full simResultFields() table - a counter wired into
+ * only one of them fails the harness instead of silently diverging.
  */
 
 #ifndef UASIM_TIMING_BATCHED_PIPELINE_HH
@@ -301,8 +302,8 @@ class BatchedPipelineSim : public BatchedTimingModel
     /// veto the jump the way a now + 1 bound does.
     static constexpr std::uint64_t wakeMshrFull = ~std::uint64_t{0} - 1;
 
-    /// Same floor as PipelineSim::minRingSize: the producer-ready ring
-    /// is bit_ceil(max(1024, 2 * inflight)) so id aliasing behaviour -
+    /// The reference model's producer-ready-ring floor: the ring is
+    /// bit_ceil(max(1024, 2 * inflight)) so id aliasing behaviour -
     /// part of the simulated semantics - matches the oracle exactly.
     static constexpr std::size_t minRingSize = 1024;
 

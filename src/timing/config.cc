@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "timing/model.hh"
+
 namespace uasim::timing {
 
 namespace {
@@ -47,8 +49,10 @@ CoreConfig::validate() const
         throw std::invalid_argument(
             "CoreConfig: memReplayPenalty must be >= 0");
     }
-    if (model.empty())
-        throw std::invalid_argument("CoreConfig: empty model name");
+    if (!isTimingModel(model)) {
+        throw std::invalid_argument("CoreConfig: unknown timing model \"" +
+                                    model + "\"");
+    }
     if (mem.memBWBytesPerCycle < 0) {
         throw std::invalid_argument(
             "CoreConfig: mem.memBWBytesPerCycle must be >= 0 "

@@ -57,9 +57,9 @@ enum class RegFile { GPR, FPR, VPR, None };
 struct CoreConfig {
     std::string name = "2w";
     /**
-     * Timing backend simulating this core (the makeTimingModel()
-     * factory key, see timing/model.hh): "pipeline" is the paper's
-     * Turandot-like in-flight-window model, "ooo" the ROB/issue-queue
+     * Timing backend simulating this core (its issue policy in the
+     * one engine, see timing/model.hh): "pipeline" is the paper's
+     * Turandot-like in-flight-window model, "ooo" the fully
      * out-of-order core with store-set dependence prediction.
      */
     std::string model = "pipeline";
@@ -113,11 +113,12 @@ struct CoreConfig {
 
     /**
      * Reject impossible configurations (non-positive widths, queue or
-     * port counts, out-of-range predictor sizes) with
-     * std::invalid_argument naming the offending field. Every timing
-     * backend calls this at construction, so a malformed sweep cell
-     * fails loudly in any model instead of deadlocking or silently
-     * misbehaving in one of them.
+     * port counts, out-of-range predictor sizes, a model name not in
+     * timingModelNames()) with std::invalid_argument naming the
+     * offending field. The engine calls this at construction, and
+     * SweepRunner::run calls it on every timing cell before any work,
+     * so a malformed sweep cell fails loudly instead of deadlocking or
+     * silently misbehaving.
      */
     void validate() const;
 

@@ -1,22 +1,43 @@
 #include "timing/model.hh"
 
-#include <stdexcept>
 #include <utility>
 
 #include "timing/batched_pipeline.hh"
-#include "timing/ooo_pipeline.hh"
-#include "timing/pipeline.hh"
 
 namespace uasim::timing {
 
 namespace {
 
+/// makeTimingModel()'s engine: a one-cell BatchedPipelineSim.
+class SingleCellModel : public TimingModel
+{
+  public:
+    explicit SingleCellModel(const CoreConfig &cfg) : batch_({cfg}) {}
+
+    void
+    append(const trace::InstrRecord &rec) override
+    {
+        batch_.append(rec);
+    }
+
+    void
+    appendBlock(const trace::InstrRecord *recs, std::size_t n) override
+    {
+        batch_.appendBlock(recs, n);
+    }
+
+    SimResult finalize() override { return batch_.finalizeAll().front(); }
+
+  private:
+    BatchedPipelineSim batch_;
+};
+
 /**
  * A group that mixes predictor geometries: one BatchedPipelineSim per
  * bpredLog2Entries value (its shared mispredict precompute runs a
  * single predictor), in order of first appearance. Cells never
- * interact, so each result is bit-identical to its standalone model
- * whichever part runs it.
+ * interact, so each result is bit-identical to a one-cell engine of
+ * its config whichever part runs it.
  */
 class SplitBatchedModel : public BatchedTimingModel
 {
@@ -85,12 +106,7 @@ isTimingModel(const std::string &name)
 std::unique_ptr<TimingModel>
 makeTimingModel(const CoreConfig &cfg)
 {
-    if (cfg.model == "pipeline")
-        return std::make_unique<PipelineSim>(cfg);
-    if (cfg.model == "ooo")
-        return std::make_unique<OoOPipelineSim>(cfg);
-    throw std::invalid_argument("unknown timing model \"" + cfg.model +
-                                "\"");
+    return std::make_unique<SingleCellModel>(cfg);
 }
 
 std::unique_ptr<BatchedTimingModel>
@@ -109,8 +125,7 @@ makeBatchedTimingModel(const std::vector<CoreConfig> &cfgs)
         route.emplace_back(b, groups[b].size());
         groups[b].push_back(cfg);
     }
-    // Each BatchedPipelineSim validates its cells and rejects an
-    // unknown model name.
+    // Each BatchedPipelineSim validates its cells.
     std::vector<std::unique_ptr<BatchedPipelineSim>> batches;
     batches.reserve(groups.size());
     for (const auto &group : groups)

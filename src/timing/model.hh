@@ -12,16 +12,18 @@
  * CoreConfig::model and the makeTimingModel()/makeBatchedTimingModel()
  * factories, never by naming a concrete simulator class.
  *
- * Backends (makeTimingModel() builds the standalone model named
- * first; every cell of a batched group, of either backend, runs on
- * BatchedPipelineSim, timing/batched_pipeline.hh, as a per-cell issue
- * policy of that one engine):
- *   "pipeline"  PipelineSim (timing/pipeline.hh) - the Turandot-like
- *               in-flight-window model of the paper's Table II runs.
- *   "ooo"       OoOPipelineSim (timing/ooo_pipeline.hh) - an
- *               out-of-order core with a ROB/issue-queue split, a
- *               store-set memory-dependence predictor, and a
- *               decoupled issue width.
+ * Backends, both run by the one engine, BatchedPipelineSim
+ * (timing/batched_pipeline.hh), as a per-cell issue policy:
+ *   "pipeline"  the Turandot-like in-flight-window model of the
+ *               paper's Table II runs.
+ *   "ooo"       an out-of-order core: issue scans every waiting
+ *               instruction under its own issue width, and a
+ *               store-set memory-dependence predictor decides when an
+ *               aliasing load may speculate.
+ * makeTimingModel() is that engine's one-cell case;
+ * makeBatchedTimingModel() runs a whole group of cells in one pass.
+ * Tests diff both against a per-cell reference model that lives in
+ * tests/ only (tests/reference_pipeline.hh).
  *
  * Stream-pure invariants shared by every backend: the fetch stage
  * predicts and trains the branch predictor exactly once per branch,
@@ -58,9 +60,6 @@ class TimingModel : public trace::TraceSink
 
     /// Drain the machine and return the final statistics. Idempotent.
     virtual SimResult finalize() = 0;
-
-    /// The configuration this model simulates.
-    virtual const CoreConfig &config() const = 0;
 };
 
 /**
@@ -88,9 +87,11 @@ const std::vector<std::string> &timingModelNames();
 bool isTimingModel(const std::string &name);
 
 /**
- * Construct the backend selected by @p cfg.model.
- * @throws std::invalid_argument on an unknown model name (callers
- * with a command line validate through isTimingModel first and exit 2).
+ * Construct the one-cell engine for @p cfg (a BatchedPipelineSim of
+ * M=1 running @p cfg.model's issue policy).
+ * @throws std::invalid_argument if @p cfg fails CoreConfig::validate(),
+ * an unknown model name included (callers with a command line
+ * validate through isTimingModel first and exit 2).
  */
 std::unique_ptr<TimingModel> makeTimingModel(const CoreConfig &cfg);
 
@@ -101,10 +102,10 @@ std::unique_ptr<TimingModel> makeTimingModel(const CoreConfig &cfg);
  * alike, run on one BatchedPipelineSim (one instance per distinct
  * geometry, in order of first appearance); finalizeAll() returns
  * results in @p cfgs order. A one-geometry group (Fig 9's ten cells,
- * say) gets the BatchedPipelineSim itself. Each cell is
- * bit-identical to a standalone makeTimingModel() of its config.
- * @throws std::invalid_argument if any entry names an unknown model
- * or fails CoreConfig::validate().
+ * say) gets the BatchedPipelineSim itself. Cells never interact, so
+ * each is bit-identical to a makeTimingModel() of its config.
+ * @throws std::invalid_argument if any entry fails
+ * CoreConfig::validate() (which rejects an unknown model name).
  */
 std::unique_ptr<BatchedTimingModel>
 makeBatchedTimingModel(const std::vector<CoreConfig> &cfgs);

@@ -1,8 +1,9 @@
 /**
  * @file
  * Store-set memory-dependence predictor (Chrysos & Emer, simplified)
- * of the "ooo" backend, shared by OoOPipelineSim and the batched
- * engine's "ooo" cells so the policy is written once.
+ * of the "ooo" backend, shared by the engine's "ooo" cells and the
+ * tests' reference model (tests/reference_pipeline.hh) so the policy
+ * is written once.
  *
  * The SSIT maps a pc to a store-set id (0 = untrained). A load whose
  * set matches an older undrained store's set is predicted dependent

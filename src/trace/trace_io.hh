@@ -24,7 +24,7 @@
  * address delta and a raw size byte, then three dep fields encoded
  * relative to the record's own id. Fields that are meaningless for a
  * class (addr/size on non-memory records, taken on non-branches) are
- * canonicalized to zero, which every consumer (PipelineSim, InstrMix)
+ * canonicalized to zero, which every consumer (timing model, InstrMix)
  * already treats as "absent".
  *
  * Every error path is checked: FileSink::close() throws on any failed

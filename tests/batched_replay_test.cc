@@ -3,9 +3,9 @@
  * Differential harness for the batched replay engine
  * (timing/batched_pipeline.hh): for any record stream and any config
  * grid of "pipeline" and "ooo" cells, BatchedPipelineSim must produce
- * per-cell SimResults bit-identical to one standalone
- * makeTimingModel() per config (PipelineSim or OoOPipelineSim) fed
- * the same stream. Coverage:
+ * per-cell SimResults bit-identical to one test-only reference model
+ * per config (ReferencePipeline, tests/reference_pipeline.hh) fed the
+ * same stream. Coverage:
  *  - real kernel traces (KernelBench::recordTrace) across the paper
  *    presets under both backends and randomized (seeded) config grids
  *    that mutate every CoreConfig knob, the backend and the "ooo"
@@ -35,9 +35,8 @@
 
 #include "core/experiment.hh"
 #include "core/result.hh"
+#include "reference_pipeline.hh"
 #include "timing/batched_pipeline.hh"
-#include "timing/model.hh"
-#include "timing/ooo_pipeline.hh"
 #include "trace/sink.hh"
 #include "trace/trace_buffer.hh"
 
@@ -53,8 +52,8 @@ using trace::InstrRecord;
 
 namespace {
 
-/// Per-cell oracle: one fresh makeTimingModel() per config over the
-/// stream (PipelineSim or OoOPipelineSim, by CoreConfig::model).
+/// Per-cell oracle: one fresh reference model per config over the
+/// stream (its issue policy chosen by CoreConfig::model).
 std::vector<timing::SimResult>
 perCellResults(const std::vector<CoreConfig> &cfgs,
                const std::vector<InstrRecord> &records)
@@ -62,10 +61,10 @@ perCellResults(const std::vector<CoreConfig> &cfgs,
     std::vector<timing::SimResult> out;
     out.reserve(cfgs.size());
     for (const auto &cfg : cfgs) {
-        auto sim = timing::makeTimingModel(cfg);
+        timing::ReferencePipeline sim(cfg);
         for (const auto &rec : records)
-            sim->append(rec);
-        out.push_back(sim->finalize());
+            sim.append(rec);
+        out.push_back(sim.finalize());
     }
     return out;
 }
@@ -308,7 +307,7 @@ TEST(BatchedReplay, StoreSetSpeculationAndTrainedWaits)
     for (const auto &cfg : cfgs) {
         if (cfg.model != "ooo")
             continue;
-        timing::OoOPipelineSim oracle(cfg);
+        timing::ReferencePipeline oracle(cfg);
         oracle.appendBlock(records.data(), records.size());
         (void)oracle.finalize();
         EXPECT_GT(oracle.memOrderReplays(), 0u) << cfg.name;
@@ -344,7 +343,7 @@ TEST(BatchedReplay, InflightSpansReadyRingBoundary)
     // Regression companion to Pipeline.ReadyRingScalesWithInflight:
     // a 2048-deep window over a 6000-long serial chain wraps the 1024
     // ready-ring floor; the batched engine must size its per-cell
-    // ring exactly like PipelineSim and stay bit-identical while a
+    // ring exactly like the oracle and stay bit-identical while a
     // small-window cell shares the same pass.
     CoreConfig big = CoreConfig::fourWayOoO();
     big.name = "big-window";
@@ -365,7 +364,7 @@ TEST(BatchedReplay, SingleReadPortSerializedBanksTerminates)
 {
     // Regression: a line-crossing load on a serialized-bank machine
     // demanded a second read port even when the config has only one,
-    // making the load permanently unissuable - PipelineSim::feed's
+    // making the load permanently unissuable - the oracle's feed
     // backpressure loop then spun forever. (Unreachable from the
     // paper presets, which pair parallelBanks with >= 2 ports; the
     // randomized differential grids here flushed it out.) A

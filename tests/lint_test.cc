@@ -158,6 +158,23 @@ TEST(LintTool, SimDeterminismCampaignScope)
     EXPECT_EQ(outside.exit, 0) << outside.out;
 }
 
+TEST(LintTool, SimDeterminismReferenceModelScope)
+{
+    // The tests' per-cell reference model is the timing oracle, so
+    // the rule covers it like the library engine; other test files
+    // stay out of scope.
+    const RunResult bad =
+        run(lint("--as tests/reference_pipeline.cc " +
+                 fixture("sim_determinism_bad.cc")));
+    EXPECT_EQ(bad.exit, 1);
+    EXPECT_EQ(countOf(bad.out, "[sim-determinism]"), 5) << bad.out;
+
+    const RunResult outside =
+        run(lint("--as tests/sweep_test.cc " +
+                 fixture("sim_determinism_bad.cc")));
+    EXPECT_EQ(outside.exit, 0) << outside.out;
+}
+
 TEST(LintTool, CheckedIo)
 {
     const RunResult bad = run(lint("--as src/trace/fx_io.cc " +

@@ -1,4 +1,4 @@
-#include "timing/pipeline.hh"
+#include "reference_pipeline.hh"
 
 #include <algorithm>
 #include <bit>
@@ -9,12 +9,18 @@ namespace uasim::timing {
 using trace::InstrClass;
 using trace::InstrRecord;
 
-PipelineSim::PipelineSim(const CoreConfig &cfg)
+ReferencePipeline::ReferencePipeline(const CoreConfig &cfg)
     // Validate before any member sizes anything from the config (the
-    // predictor table, the rings): a bad config must throw, not OOM.
+    // predictor table, the rings, the SSIT): a bad config must throw,
+    // not OOM.
     : cfg_((cfg.validate(), cfg)), mem_(cfg.mem),
-      bpred_(unsigned(cfg.bpredLog2Entries))
+      bpred_(unsigned(cfg.bpredLog2Entries)),
+      issueWidth_(cfg.model == "ooo" && cfg.issueWidth > 0
+                      ? cfg.issueWidth
+                      : cfg.fetchWidth)
 {
+    if (cfg_.model == "ooo")
+        storeSets_.emplace(cfg_.storeSetLog2);
     res_.core = cfg_.name;
     storeQ_.reserve(cfg_.storeQ);
     mshr_.reserve(cfg_.missMax);
@@ -28,7 +34,7 @@ PipelineSim::PipelineSim(const CoreConfig &cfg)
 }
 
 int *
-PipelineSim::renameCounter(RegFile rf)
+ReferencePipeline::renameCounter(RegFile rf)
 {
     switch (rf) {
       case RegFile::GPR: return &gprInflight_;
@@ -39,12 +45,12 @@ PipelineSim::renameCounter(RegFile rf)
 }
 
 void
-PipelineSim::feed(const InstrRecord &rec)
+ReferencePipeline::append(const InstrRecord &rec)
 {
     assert(!finalized_);
     pending_.push_back(rec);
     // Apply backpressure: keep the staging buffer near the front-end
-    // size so feed() advances the machine instead of buffering the
+    // size so append() advances the machine instead of buffering the
     // whole trace.
     while (pending_.size() >
            static_cast<std::size_t>(2 * cfg_.ibuffer)) {
@@ -53,7 +59,7 @@ PipelineSim::feed(const InstrRecord &rec)
 }
 
 SimResult
-PipelineSim::finalize()
+ReferencePipeline::finalize()
 {
     if (finalized_)
         return res_;
@@ -76,7 +82,7 @@ PipelineSim::finalize()
 }
 
 void
-PipelineSim::cycle()
+ReferencePipeline::cycle()
 {
     ++now_;
     for (int u = 0; u < numUnits; ++u)
@@ -90,7 +96,7 @@ PipelineSim::cycle()
     unitTokens_[int(Unit::VCMPLX)] = cfg_.units.vcmplx;
     readPorts_ = cfg_.dReadPorts;
     writePorts_ = cfg_.dWritePorts;
-    issueTokens_ = cfg_.fetchWidth;
+    issueTokens_ = issueWidth_;
 
     // Release completed misses.
     std::erase_if(mshr_, [this](std::uint64_t c) { return c <= now_; });
@@ -102,7 +108,7 @@ PipelineSim::cycle()
 }
 
 void
-PipelineSim::retireStage()
+ReferencePipeline::retireStage()
 {
     int retired = 0;
     while (!rob_.empty() && retired < cfg_.retireWidth) {
@@ -147,7 +153,7 @@ PipelineSim::retireStage()
 }
 
 bool
-PipelineSim::tryIssue(Slot &slot)
+ReferencePipeline::tryIssue(Slot &slot)
 {
     const InstrRecord &rec = slot.rec;
     int unit = int(unitFor(rec.cls));
@@ -179,8 +185,15 @@ PipelineSim::tryIssue(Slot &slot)
                 forwarder = nullptr;
             }
         }
-        if (blocker)
-            return false;  // retry when the store drains or issues
+        // A "pipeline" core always waits for the blocker to drain or
+        // issue. An "ooo" core waits only when the store-set predictor
+        // pairs the load with the blocker; an untrained load
+        // speculates past it and pays the replay penalty below, once
+        // the access is known to go ahead this cycle.
+        if (blocker &&
+            (!storeSets_ ||
+             storeSets_->predictsDependence(rec.pc, blocker->pc)))
+            return false;
 
         bool runtime_unaligned = (rec.addr & 15) != 0 &&
             trace::isUnalignedVecMem(rec.cls);
@@ -188,14 +201,13 @@ PipelineSim::tryIssue(Slot &slot)
         if (forwarder) {
             ++res_.storeForwards;
         } else {
-            // The shared line-crossing rule (the PR 5 deadlock fix,
-            // hoisted to CoreConfig so every backend applies it
-            // identically): under serialized banks a crossing load
-            // occupies a second read port only on a machine that has
-            // one; a single-ported core serializes the second bank
-            // access in the load pipe instead. The check runs before
-            // the cache access so a port-starved retry cannot touch
-            // cache state or counters.
+            // The shared line-crossing rule (on CoreConfig, so the
+            // engine applies it identically): under serialized banks
+            // a crossing load occupies a second read port only on a
+            // machine that has one; a single-ported core serializes
+            // the second bank access in the load pipe instead. The
+            // check runs before the cache access so a port-starved
+            // retry cannot touch cache state or counters.
             bool crosses =
                 mem_.l1d().lineAddr(rec.addr) !=
                 mem_.l1d().lineAddr(rec.addr + rec.size - 1);
@@ -221,6 +233,13 @@ PipelineSim::tryIssue(Slot &slot)
             }
             if (acc.l1Miss)
                 mshr_.push_back(now_ + cfg_.lat.load + extra);
+            if (blocker) {
+                // Ordering violation taken: train the pair into one
+                // store set and charge the deterministic replay cost.
+                storeSets_->train(rec.pc, blocker->pc);
+                extra += cfg_.memReplayPenalty;
+                ++memOrderReplays_;
+            }
         }
         if (runtime_unaligned) {
             ++res_.unalignedVecOps;
@@ -273,7 +292,7 @@ PipelineSim::tryIssue(Slot &slot)
 }
 
 bool
-PipelineSim::depsReady(const InstrRecord &rec) const
+ReferencePipeline::depsReady(const InstrRecord &rec) const
 {
     for (auto d : rec.deps) {
         if (d && readyCycleOf(d) > now_)
@@ -283,9 +302,11 @@ PipelineSim::depsReady(const InstrRecord &rec) const
 }
 
 void
-PipelineSim::issueStage()
+ReferencePipeline::issueStage()
 {
-    if (cfg_.outOfOrder) {
+    // An "ooo" core issues fully out of order whatever outOfOrder
+    // says.
+    if (cfg_.outOfOrder || storeSets_) {
         for (auto &slot : rob_) {
             if (issueTokens_ <= 0)
                 break;
@@ -310,7 +331,7 @@ PipelineSim::issueStage()
 }
 
 void
-PipelineSim::dispatchStage()
+ReferencePipeline::dispatchStage()
 {
     int dispatched = 0;
     while (!fetchBuf_.empty() && dispatched < cfg_.fetchWidth) {
@@ -331,6 +352,7 @@ PipelineSim::dispatchStage()
                 break;
             StoreEntry se;
             se.id = slot.rec.id;
+            se.pc = slot.rec.pc;
             se.addr = slot.rec.addr;
             se.size = slot.rec.size;
             storeQ_.push_back(se);
@@ -349,7 +371,7 @@ PipelineSim::dispatchStage()
 }
 
 void
-PipelineSim::fetchStage()
+ReferencePipeline::fetchStage()
 {
     if (now_ < fetchStallUntil_ || haltBranchId_) {
         ++res_.fetchStallCycles;

@@ -1,8 +1,12 @@
 /**
  * @file
- * Trace-driven superscalar pipeline model (the Turandot-like simulator).
+ * The per-cell reference oracle of the timing tests: a plain,
+ * obviously-correct cycle-level model of one core, against which the
+ * library's one engine (BatchedPipelineSim, timing/batched_pipeline.hh)
+ * is diffed over the full simResultFields() table. It is built only
+ * into the test suites (tests/CMakeLists.txt), never into libuasim.
  *
- * The model consumes InstrRecords in program order (it is itself a
+ * The model consumes InstrRecords in program order (it is a
  * TraceSink, so emulated kernels can stream straight into it) and
  * advances a cycle-level machine:
  *
@@ -20,13 +24,27 @@
  * Wrong-path execution is approximated the standard trace-driven way:
  * fetch halts at a mispredicted branch and resumes a redirect penalty
  * after the branch resolves.
+ *
+ * CoreConfig::model picks the issue policy. A "pipeline" core walks
+ * the in-flight window under fetchWidth issue tokens, bounded by
+ * inorderLookahead unless outOfOrder, and every load that aliases an
+ * undrained older store waits for it. An "ooo" core differs in four
+ * places:
+ *  - issue walks every waiting slot, with no lookahead bound
+ *    (outOfOrder/inorderLookahead are ignored);
+ *  - issue tokens come from the resolved issueWidth (0 = fetchWidth);
+ *  - a StoreSetPredictor (timing/store_set.hh) decides whether such a
+ *    load waits, keyed by the pc each store-queue entry carries;
+ *  - an untrained load speculates past its blocker: it trains the
+ *    pair, pays memReplayPenalty and counts in memOrderReplays().
  */
 
-#ifndef UASIM_TIMING_PIPELINE_HH
-#define UASIM_TIMING_PIPELINE_HH
+#ifndef UASIM_TESTS_REFERENCE_PIPELINE_HH
+#define UASIM_TESTS_REFERENCE_PIPELINE_HH
 
 #include <cstdint>
 #include <deque>
+#include <optional>
 #include <vector>
 
 #include "mem/hierarchy.hh"
@@ -34,29 +52,29 @@
 #include "timing/config.hh"
 #include "timing/model.hh"
 #include "timing/results.hh"
+#include "timing/store_set.hh"
 #include "trace/sink.hh"
 
 namespace uasim::timing {
 
-class PipelineSim : public TimingModel
+class ReferencePipeline : public TimingModel
 {
   public:
-    explicit PipelineSim(const CoreConfig &cfg);
+    /// @throws std::invalid_argument on an invalid @p cfg, before
+    /// sizing anything from it.
+    explicit ReferencePipeline(const CoreConfig &cfg);
 
-    /// TraceSink hook: stream one instruction into the machine.
-    void append(const trace::InstrRecord &rec) override { feed(rec); }
-
-    /// Feed one instruction (program order).
-    void feed(const trace::InstrRecord &rec);
+    /// TraceSink hook: stream one instruction (program order).
+    void append(const trace::InstrRecord &rec) override;
 
     /// Drain the machine and return the final statistics.
     SimResult finalize() override;
 
-    /// Cycles elapsed so far (monotonic during feeding).
-    std::uint64_t now() const { return now_; }
-
-    const CoreConfig &config() const override { return cfg_; }
-    mem::MemoryHierarchy &memory() { return mem_; }
+    /// Memory-order violations an "ooo" core took (loads that
+    /// speculated past an older overlapping store and paid
+    /// memReplayPenalty); always 0 for "pipeline". Not part of
+    /// SimResult: it is visible in cycles either way.
+    std::uint64_t memOrderReplays() const { return memOrderReplays_; }
 
   private:
     enum class State : std::uint8_t { Waiting, Issued };
@@ -70,6 +88,7 @@ class PipelineSim : public TimingModel
 
     struct StoreEntry {
         std::uint64_t id = 0;
+        std::uint64_t pc = 0;  //!< the "ooo" store-set lookup key
         std::uint64_t addr = 0;
         std::uint64_t fwdReady = 0;  //!< cycle data becomes forwardable
         unsigned size = 0;
@@ -125,10 +144,14 @@ class PipelineSim : public TimingModel
     CoreConfig cfg_;
     mem::MemoryHierarchy mem_;
     BranchPredictor bpred_;
+    int issueWidth_ = 1;  //!< per-cycle issue tokens
+    /// Engaged exactly for an "ooo" core, and so also its policy flag.
+    std::optional<StoreSetPredictor> storeSets_;
+    std::uint64_t memOrderReplays_ = 0;
 
     std::uint64_t now_ = 0;
 
-    std::deque<trace::InstrRecord> pending_;  //!< staged by feed()
+    std::deque<trace::InstrRecord> pending_;  //!< staged by append()
     std::deque<Slot> fetchBuf_;               //!< fetched, not dispatched
     std::deque<Slot> rob_;                    //!< dispatched, not retired
     std::vector<ReadyEntry> readyRing_;       //!< sized from cfg.inflight
@@ -164,4 +187,4 @@ class PipelineSim : public TimingModel
 
 } // namespace uasim::timing
 
-#endif // UASIM_TIMING_PIPELINE_HH
+#endif // UASIM_TESTS_REFERENCE_PIPELINE_HH

@@ -1,14 +1,15 @@
 /**
  * @file
  * Locks the sweep engine's guarantees (core/sweep.hh):
- *  - replaying a recorded trace into PipelineSim is bit-identical to
- *    streaming the emulation into the model directly;
+ *  - replaying a recorded trace into the reference model
+ *    (tests/reference_pipeline.hh) is bit-identical to streaming the
+ *    emulation into it directly;
  *  - results and SweepStats cell/instruction counts are identical for
  *    1 and N worker threads;
  *  - duplicate addTrace keys dedupe to one recording;
  *  - every timing cell matches a test-local per-cell oracle (one
- *    standalone makeTimingModel() per cell over a TraceBuffer), for
- *    any shard count, from memory or from the store;
+ *    reference model per cell over a TraceBuffer), for any shard
+ *    count, from memory or from the store;
  *  - a group whose single timing cell is streamed from the emulation
  *    still populates every mix-only cell and accounts its
  *    instructions as both recorded and replayed, on both backends;
@@ -20,7 +21,9 @@
  *    bit-identical to the in-memory path, corrupt entries (truncated,
  *    or failing mid-decode under a valid checksum) fall back to
  *    re-recording with no stats from the failed pass, and
- *    non-cacheable jobs bypass the store.
+ *    non-cacheable jobs bypass the store;
+ *  - an unknown timing model fails the run before it emulates or
+ *    stores anything, and leaves valid store entries in place.
  */
 
 #include <gtest/gtest.h>
@@ -34,8 +37,7 @@
 #include "core/experiment.hh"
 #include "core/result.hh"
 #include "core/sweep.hh"
-#include "timing/model.hh"
-#include "timing/pipeline.hh"
+#include "reference_pipeline.hh"
 #include "trace/trace_buffer.hh"
 #include "trace/trace_io.hh"
 
@@ -94,9 +96,9 @@ struct StoreDir {
 
 /**
  * The per-cell reference for @p plan: record each trace into a
- * TraceBuffer and replay it into one standalone makeTimingModel() per
- * timing cell (the oracle batched_replay_test's perCellResults uses),
- * filling every cell like SweepRunner::run does.
+ * TraceBuffer and replay it into one reference model per timing cell
+ * (the oracle batched_replay_test's perCellResults uses), filling
+ * every cell like SweepRunner::run does.
  */
 std::vector<core::SweepCellResult>
 perCellOracle(const SweepPlan &plan)
@@ -116,9 +118,9 @@ perCellOracle(const SweepPlan &plan)
             continue;
         const core::ConfigJob &cfg = plan.configs()[std::size_t(cell.config)];
         res.configLabel = cfg.label;
-        auto sim = timing::makeTimingModel(cfg.cfg);
-        buf.replayInto(*sim);
-        res.sim = sim->finalize();
+        timing::ReferencePipeline sim(cfg.cfg);
+        buf.replayInto(sim);
+        res.sim = sim.finalize();
     }
     return out;
 }
@@ -145,7 +147,7 @@ TEST(SweepReplay, BitIdenticalToDirectStreaming)
             recorder.recordTrace(variant, execs, buf);
             EXPECT_EQ(buf.size(), buf.mix().total());
 
-            timing::PipelineSim sim(cfg);
+            timing::ReferencePipeline sim(cfg);
             buf.replayInto(sim);
             expectSimEqual(want, sim.finalize());
         }
@@ -455,6 +457,18 @@ TEST(SweepStore, UnknownTimingModelKeepsStoreEntries)
     warm.attachStore(dir.path);
     expectResultsEqual(want, warm.run(makePlan()));
     EXPECT_EQ(warm.stats().tracesLoaded, 1u);
+
+    // A cold multi-cell group must fail before it emulates, so no
+    // entry is published for a run that cannot replay it.
+    StoreDir fresh("bad_model_cold");
+    SweepRunner coldBad(1);
+    coldBad.attachStore(fresh.path);
+    coldBad.setTimingModel("no-such-model");
+    SweepPlan twoCells = makePlan();
+    twoCells.addCell(
+        0, twoCells.addConfig("2w", timing::CoreConfig::twoWayInOrder()));
+    EXPECT_THROW(coldBad.run(twoCells), std::invalid_argument);
+    EXPECT_TRUE(std::filesystem::is_empty(fresh.path));
 }
 
 TEST(SweepStore, NonCacheableJobsBypassTheStore)
@@ -503,7 +517,7 @@ TEST(SweepTraceJob, WarmupReproducesSharedBenchHistory)
 
     auto job = core::kernelTraceJob(spec, Variant::Scalar, execs,
                                     12345, 2);
-    timing::PipelineSim sim(cfg);
+    timing::ReferencePipeline sim(cfg);
     job.record(sim);
     expectSimEqual(want, sim.finalize());
 }

@@ -2,7 +2,8 @@
  * @file
  * TimingModel interface tests: the factory/registry contract, the
  * batched factory's split of a group by predictor geometry (every
- * group shape bit-identical to standalone models), the cross-model
+ * group shape bit-identical to one test-only reference model per cell,
+ * tests/reference_pipeline.hh), the cross-model
  * stream-pure differential harness, the shared line-crossing-load
  * gate, and the ooo backend's own mechanisms (store-set prediction,
  * decoupled issue width, memBW throttle).
@@ -27,9 +28,9 @@
 #include "core/experiment.hh"
 #include "core/result.hh"
 #include "core/sweep.hh"
+#include "reference_pipeline.hh"
 #include "timing/batched_pipeline.hh"
 #include "timing/model.hh"
-#include "timing/ooo_pipeline.hh"
 #include "trace/emitter.hh"
 #include "trace/sink.hh"
 #include "vmx/buffer.hh"
@@ -100,14 +101,30 @@ TEST(TimingModelFactory, RegistryListsBothBackends)
 
 TEST(TimingModelFactory, SelectsBackendByConfigModel)
 {
-    CoreConfig cfg = CoreConfig::fourWayOoO();
+    // The two backends disagree on this stream (an in-order core
+    // against full out-of-order issue), so matching the reference
+    // model of cfg.model shows which backend the factory built.
+    auto records =
+        kernelRecords({KernelId::Sad, 8, false}, Variant::Unaligned, 2);
+    CoreConfig cfg = CoreConfig::twoWayInOrder();
+    std::vector<timing::SimResult> results;
     for (const auto &name : timing::timingModelNames()) {
         cfg.model = name;
         auto sim = timing::makeTimingModel(cfg);
         ASSERT_NE(sim, nullptr) << name;
-        EXPECT_EQ(sim->config().model, name);
-        EXPECT_EQ(sim->config().name, cfg.name);
+        sim->appendBlock(records.data(), records.size());
+        const auto got = sim->finalize();
+        EXPECT_EQ(got.core, cfg.name) << name;
+        timing::ReferencePipeline oracle(cfg);
+        oracle.appendBlock(records.data(), records.size());
+        const auto want = oracle.finalize();
+        for (const auto &f : core::simResultFields())
+            EXPECT_EQ(want.*(f.member), got.*(f.member))
+                << name << ": counter " << f.name;
+        results.push_back(got);
     }
+    ASSERT_EQ(results.size(), 2u);
+    EXPECT_NE(results[0].cycles, results[1].cycles);
     cfg.model = "no-such-model";
     EXPECT_THROW((void)timing::makeTimingModel(cfg),
                  std::invalid_argument);
@@ -167,8 +184,8 @@ withModel(CoreConfig cfg, const std::string &model, int bpredLog2 = 12)
     return cfg;
 }
 
-/// Every cell of @p got must equal a standalone makeTimingModel() of
-/// its config over @p records, over the full simResultFields() table.
+/// Every cell of @p got must equal a reference model of its config
+/// over @p records, over the full simResultFields() table.
 void
 expectMatchesStandalone(const std::vector<CoreConfig> &cfgs,
                         const std::vector<timing::SimResult> &got,
@@ -177,9 +194,9 @@ expectMatchesStandalone(const std::vector<CoreConfig> &cfgs,
 {
     ASSERT_EQ(got.size(), cfgs.size()) << label;
     for (std::size_t i = 0; i < cfgs.size(); ++i) {
-        auto sim = timing::makeTimingModel(cfgs[i]);
-        sim->appendBlock(records.data(), records.size());
-        const auto want = sim->finalize();
+        timing::ReferencePipeline sim(cfgs[i]);
+        sim.appendBlock(records.data(), records.size());
+        const auto want = sim.finalize();
         EXPECT_EQ(want.core, got[i].core) << label << " cell " << i;
         for (const auto &f : core::simResultFields())
             EXPECT_EQ(want.*(f.member), got[i].*(f.member))
@@ -196,7 +213,7 @@ TEST(TimingModelCrossDiff, BatchedMixedGroupMatchesPerCell)
     // one BatchedPipelineSim per bpredLog2Entries value, running that
     // geometry's "pipeline" and "ooo" cells alike. Whatever the
     // group's shape, each cell must be bit-identical to its
-    // standalone model, in constructor order.
+    // reference model, in constructor order.
     auto records =
         kernelRecords({KernelId::Idct, 4, false}, Variant::Unaligned, 4);
     ASSERT_GT(records.size(), 512u);  // spans several 256-rec chunks
@@ -463,7 +480,7 @@ TEST(OoOBackend, StoreSetPredictorTrainsOnFirstViolation)
     const auto addr = reinterpret_cast<std::uint64_t>(buf.data());
     CoreConfig cfg = CoreConfig::eightWayOoO();
     cfg.model = "ooo";
-    timing::OoOPipelineSim sim(cfg);
+    timing::ReferencePipeline sim(cfg);
     trace::Emitter em(sim);
     const int iters = 200;
     for (int i = 0; i < iters; ++i) {

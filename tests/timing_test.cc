@@ -3,12 +3,14 @@
  * Tests for the superscalar pipeline model: basic invariants, width
  * scaling, dependence serialization, load latency, store-to-load
  * forwarding, branch misprediction, unaligned-access latency, and the
- * branch predictor. The analytic latency/throughput checks
- * (EngineTiming) run on every engine - "pipeline" and "ooo", each
- * standalone and as a batched cell - and hold with the same bounds on
- * all four: their streams exercise no mechanism where the backends
- * differ by design (an out-of-order preset, no aliasing stores that
- * fail to forward).
+ * branch predictor. The single-engine cases run on the test-only
+ * reference model (tests/reference_pipeline.hh). The analytic
+ * latency/throughput checks (EngineTiming) run on both backends -
+ * "pipeline" and "ooo", each on the reference model and as a cell of
+ * the library's batched engine - and hold with the same bounds on all
+ * four: their streams exercise no mechanism where the backends differ
+ * by design (an out-of-order preset, no aliasing stores that fail to
+ * forward).
  */
 
 #include <gtest/gtest.h>
@@ -17,18 +19,18 @@
 #include <stdexcept>
 #include <string>
 
+#include "reference_pipeline.hh"
 #include "timing/branch_pred.hh"
 #include "timing/model.hh"
-#include "trace/trace_io.hh"
-#include "timing/pipeline.hh"
 #include "trace/emitter.hh"
+#include "trace/trace_io.hh"
 #include "vmx/buffer.hh"
 #include "vmx/scalarops.hh"
 #include "vmx/vecops.hh"
 
 using namespace uasim;
 using timing::CoreConfig;
-using timing::PipelineSim;
+using timing::ReferencePipeline;
 using trace::InstrClass;
 using trace::InstrRecord;
 
@@ -38,7 +40,7 @@ namespace {
 timing::SimResult
 runIndependent(const CoreConfig &cfg, InstrClass cls, int n)
 {
-    PipelineSim sim(cfg);
+    ReferencePipeline sim(cfg);
     trace::Emitter em(sim);
     for (int i = 0; i < n; ++i)
         em.emit(cls, std::source_location::current());
@@ -49,7 +51,7 @@ runIndependent(const CoreConfig &cfg, InstrClass cls, int n)
 timing::SimResult
 runChain(const CoreConfig &cfg, InstrClass cls, int n)
 {
-    PipelineSim sim(cfg);
+    ReferencePipeline sim(cfg);
     trace::Emitter em(sim);
     trace::Dep prev{};
     for (int i = 0; i < n; ++i)
@@ -57,8 +59,8 @@ runChain(const CoreConfig &cfg, InstrClass cls, int n)
     return sim.finalize();
 }
 
-/// One engine an analytic timing check runs on: a backend, replayed
-/// standalone (makeTimingModel) or as a one-cell batched group
+/// One engine an analytic timing check runs on: a backend, replayed on
+/// the reference model or as a one-cell batched group
 /// (makeBatchedTimingModel, i.e. BatchedPipelineSim).
 struct Engine {
     const char *model;
@@ -83,9 +85,9 @@ class EngineTiming : public ::testing::TestWithParam<Engine>
             batch->appendBlock(recs.data(), recs.size());
             return batch->finalizeAll().front();
         }
-        auto sim = timing::makeTimingModel(cfg);
-        sim->appendBlock(recs.data(), recs.size());
-        return sim->finalize();
+        ReferencePipeline sim(cfg);
+        sim.appendBlock(recs.data(), recs.size());
+        return sim.finalize();
     }
 };
 
@@ -248,7 +250,7 @@ TEST(Pipeline, AlignedLvxuPaysNoPenalty)
     auto run = [&](int extra) {
         CoreConfig cfg = CoreConfig::fourWayOoO();
         cfg.lat.unalignedLoadExtra = extra;
-        PipelineSim sim(cfg);
+        ReferencePipeline sim(cfg);
         trace::Emitter em(sim);
         trace::Dep prev{};
         for (int i = 0; i < 400; ++i) {
@@ -266,7 +268,7 @@ TEST(Pipeline, MispredictsStallFetch)
 {
     CoreConfig cfg = CoreConfig::fourWayOoO();
     auto run = [&](bool random_pattern) {
-        PipelineSim sim(cfg);
+        ReferencePipeline sim(cfg);
         trace::Emitter em(sim);
         std::uint64_t lcg = 12345;
         for (int i = 0; i < 2000; ++i) {
@@ -300,7 +302,7 @@ TEST(Pipeline, InOrderSlowerThanOoOOnMixedChain)
     auto run = [&](CoreConfig cfg) {
         cfg.units = {2, 1, 1, 1, 1, 1, 1};
         cfg.fetchWidth = 2;
-        PipelineSim sim(cfg);
+        ReferencePipeline sim(cfg);
         trace::Emitter em(sim);
         auto base = reinterpret_cast<std::uint64_t>(buf.data());
         trace::Dep prev{};
@@ -327,7 +329,7 @@ TEST(Pipeline, InOrderSlowerThanOoOOnMixedChain)
 TEST(Pipeline, CacheStatsPlumbedThrough)
 {
     CoreConfig cfg = CoreConfig::fourWayOoO();
-    PipelineSim sim(cfg);
+    ReferencePipeline sim(cfg);
     trace::Emitter em(sim);
     for (int i = 0; i < 64; ++i) {
         em.emitMem(InstrClass::Load,
@@ -416,7 +418,7 @@ TEST(Pipeline, OfflineTraceFileEqualsOnline)
     CoreConfig cfg = CoreConfig::fourWayOoO();
     cfg.lat.unalignedLoadExtra = 1;
 
-    timing::PipelineSim online(cfg);
+    ReferencePipeline online(cfg);
     gen(online);
     auto r_online = online.finalize();
 
@@ -425,7 +427,7 @@ TEST(Pipeline, OfflineTraceFileEqualsOnline)
         trace::FileSink file(path);
         gen(file);
     }
-    timing::PipelineSim offline(cfg);
+    ReferencePipeline offline(cfg);
     {
         trace::TraceReader reader(path);
         reader.drainTo(offline);
@@ -485,7 +487,7 @@ TEST(Pipeline, PredictorSizeIsSweepable)
     auto run = [](int log2) {
         CoreConfig cfg = CoreConfig::fourWayOoO();
         cfg.bpredLog2Entries = log2;
-        PipelineSim sim(cfg);
+        ReferencePipeline sim(cfg);
         trace::Emitter em(sim);
         for (int i = 0; i < 4000; ++i) {
             em.emitBranch((i % 4) != 3,
@@ -526,11 +528,16 @@ TEST(Pipeline, ValidateRejectsBadConfigs)
     EXPECT_THROW(bad([](CoreConfig &c) { c.model.clear(); })
                      .validate(),
                  std::invalid_argument);
-    // The constructor path must throw before sizing anything.
-    EXPECT_THROW(PipelineSim(bad([](CoreConfig &c) {
-                     c.inflight = 0;
-                 })),
+    EXPECT_THROW(bad([](CoreConfig &c) { c.model = "turandot"; })
+                     .validate(),
                  std::invalid_argument);
+    // Every constructor path must throw before sizing anything.
+    const CoreConfig noWindow = bad([](CoreConfig &c) { c.inflight = 0; });
+    EXPECT_THROW((void)timing::makeTimingModel(noWindow),
+                 std::invalid_argument);
+    EXPECT_THROW((void)timing::makeBatchedTimingModel({noWindow}),
+                 std::invalid_argument);
+    EXPECT_THROW(ReferencePipeline{noWindow}, std::invalid_argument);
 }
 
 TEST(BranchPredictor, LearnsBias)

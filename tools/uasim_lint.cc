@@ -387,7 +387,11 @@ inSimScope(const std::string &vpath)
            // text, so the whole layer (library + driver) stays inside
            // the determinism rule.
            vpath.rfind("src/core/campaign.", 0) == 0 ||
-           vpath.rfind("tools/uasim_sweep", 0) == 0;
+           vpath.rfind("tools/uasim_sweep", 0) == 0 ||
+           // The tests' per-cell reference model is the oracle every
+           // engine result is diffed against, so it is simulated code
+           // too.
+           vpath.rfind("tests/reference_pipeline.", 0) == 0;
 }
 
 void
@@ -850,7 +854,7 @@ loadCompdb(const fs::path &compdb, const fs::path &root,
     }
 
     // Headers have no compile-db entry; walk the linted layers.
-    for (const char *dir : {"src", "tools", "bench"}) {
+    for (const char *dir : {"src", "tools", "bench", "tests"}) {
         const fs::path base = root / dir;
         if (!fs::is_directory(base))
             continue;
