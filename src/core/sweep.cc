@@ -202,26 +202,51 @@ SweepRunner::run(const SweepPlan &plan)
                 trace::TraceStore *store =
                     (store_ && job.cacheable) ? store_.get() : nullptr;
 
-                // Replay every timing cell from one record source. The
-                // cells are cut into min(shardBudget, cells) contiguous
-                // slices; each slice is one batched model fed by its own
-                // feed(sink, totals) pass, which returns the records it
-                // fed. Slice 0 runs on this thread, the rest on
-                // short-lived threads. Cells are mutually independent,
-                // so any split fills identical results
-                // (tests/batched_replay_test.cc and the sharding cases in
-                // tests/sweep_test.cc); only pass count and wall time
-                // differ. Each slice counts into its own totals, which
+                // Replay every timing cell from one record source.
+                // When the trace's mix is known before the pass (@p
+                // known: a store hit or a buffered miss), cells whose
+                // CoreConfig::canonicalFor(mix) configs are equal,
+                // name aside, share one engine cell: they differ only
+                // in knobs no instruction of the trace reads, so their
+                // results are equal. The distinct configs are cut into
+                // min(shardBudget, distinct) contiguous slices; each
+                // slice is one batched model fed by its own feed(sink,
+                // totals) pass, which returns the records it fed. Slice
+                // 0 runs on this thread, the rest on short-lived
+                // threads. Cells are mutually independent, so any split
+                // fills identical results (tests/batched_replay_test.cc
+                // and the sharding cases in tests/sweep_test.cc); only
+                // pass count and wall time differ. After the join every
+                // cell takes its engine cell's result under its own
+                // name. Each slice counts into its own totals, which
                 // merge into the worker's only when every slice
                 // succeeded: the first exception rethrows here with no
                 // partial accounting, so a store hit that falls back to
                 // re-recording starts from a clean slate. Each pass's
-                // time lands in @p seconds.
+                // time lands in @p seconds; instrsReplayed counts the
+                // trace once per timing cell, shared or not.
                 auto replay = [&](double WorkerTotals::*seconds,
+                                  const trace::InstrMix *known,
                                   auto &&feed) {
+                    std::vector<timing::CoreConfig> distinct;
+                    std::vector<std::size_t> engineCell;
+                    engineCell.reserve(timingCfgs.size());
+                    for (const timing::CoreConfig &cfg : timingCfgs) {
+                        timing::CoreConfig key =
+                            known ? cfg.canonicalFor(*known) : cfg;
+                        key.name.clear();
+                        auto it = std::find(distinct.begin(),
+                                            distinct.end(), key);
+                        engineCell.push_back(
+                            std::size_t(it - distinct.begin()));
+                        if (it == distinct.end())
+                            distinct.push_back(std::move(key));
+                    }
+                    const std::size_t cellsN = distinct.size();
                     const int nShards =
-                        std::min<int>(shardBudget, timingCells);
-                    const std::size_t cellsN = timingCis.size();
+                        std::min<int>(shardBudget, int(cellsN));
+                    std::vector<timing::SimResult> sims(cellsN);
+                    std::vector<std::uint64_t> shardRecords(nShards);
                     std::vector<WorkerTotals> shardTotals(nShards);
                     std::vector<std::exception_ptr> shardErrors(nShards);
                     auto pass = [&](int k) {
@@ -234,16 +259,13 @@ SweepRunner::run(const SweepPlan &plan)
                             auto t0 = Clock::now();
                             auto batch = timing::makeBatchedTimingModel(
                                 std::vector<timing::CoreConfig>(
-                                    timingCfgs.begin() + lo,
-                                    timingCfgs.begin() + hi));
-                            const std::uint64_t records = feed(*batch, lt);
-                            auto sims = batch->finalizeAll();
-                            for (std::size_t i = lo; i < hi; ++i) {
-                                results[timingCis[i]].sim =
-                                    std::move(sims[i - lo]);
-                            }
+                                    distinct.begin() + lo,
+                                    distinct.begin() + hi));
+                            shardRecords[k] = feed(*batch, lt);
+                            auto part = batch->finalizeAll();
+                            std::move(part.begin(), part.end(),
+                                      sims.begin() + lo);
                             lt.*seconds += secondsSince(t0);
-                            lt.replayed += records * (hi - lo);
                             ++lt.replayPasses;
                         } catch (...) {
                             shardErrors[k] = std::current_exception();
@@ -263,8 +285,15 @@ SweepRunner::run(const SweepPlan &plan)
                         if (e)
                             std::rethrow_exception(e);
                     }
+                    for (std::size_t i = 0; i < timingCis.size(); ++i) {
+                        timing::SimResult &sim = results[timingCis[i]].sim;
+                        sim = sims[engineCell[i]];
+                        sim.core = timingCfgs[i].name;
+                    }
                     for (const auto &st : shardTotals)
                         local.merge(st);
+                    // Every pass feeds the whole trace.
+                    local.replayed += shardRecords[0] * timingCis.size();
                     local.maxShards = std::max(local.maxShards, nShards);
                 };
 
@@ -295,7 +324,7 @@ SweepRunner::run(const SweepPlan &plan)
                 } else if (store) {
                     if (auto reader = store->openReader(job.key)) {
                         try {
-                            replay(&WorkerTotals::replaySec,
+                            replay(&WorkerTotals::replaySec, &reader->mix(),
                                    [&reader](trace::TraceSink &sink,
                                              WorkerTotals &lt) {
                                 trace::TraceCursor cur = reader->cursor();
@@ -372,13 +401,16 @@ SweepRunner::run(const SweepPlan &plan)
                     // One consumer: stream the emulation straight into
                     // its one-cell model, with no buffer (replay
                     // equivalence makes this bit-identical to the
-                    // buffered path). The pass interleaves record and
-                    // replay work, so its time is accounted as
-                    // streamSeconds, and its instructions count as both
-                    // recorded and replayed, keeping the instruction
-                    // totals identical to the buffered path's.
+                    // buffered path). Its mix is known only after the
+                    // pass, and one cell has nothing to share, so it
+                    // runs its own config as is. The pass interleaves
+                    // record and replay work, so its time is accounted
+                    // as streamSeconds, and its instructions count as
+                    // both recorded and replayed, keeping the
+                    // instruction totals identical to the buffered
+                    // path's.
                     trace::CountingSink counter;
-                    replay(&WorkerTotals::streamSec,
+                    replay(&WorkerTotals::streamSec, nullptr,
                            [&](trace::TraceSink &sim, WorkerTotals &) {
                         trace::TeeSink tee(counter, sim);
                         record(tee);
@@ -397,7 +429,7 @@ SweepRunner::run(const SweepPlan &plan)
                     local.recordSec += secondsSince(t0);
                     local.recorded += buffer.size();
                     commitRecorder();
-                    replay(&WorkerTotals::replaySec,
+                    replay(&WorkerTotals::replaySec, &buffer.mix(),
                            [&buffer](trace::TraceSink &sink,
                                      WorkerTotals &) {
                         buffer.replayInto(sink);

@@ -136,8 +136,10 @@ struct SweepCellResult {
  * is the summed trace length over all timing cells (a one-cell group
  * streamed straight from the emulation still accounts its
  * instructions as replayed). Without a store, tracesLoaded and
- * tracesStored are zero and tracesRecorded covers every trace. Time
- * is split by pass kind and summed over workers and replay shards:
+ * tracesStored are zero and tracesRecorded covers every trace. Cells that share an engine cell
+ * (see SweepRunner) still count in cellsRun and instrsReplayed; only
+ * replayPasses and decodeBytes can shrink. Time is split by pass kind
+ * and summed over workers and replay shards:
  * record passes that feed no model (recordSeconds), replay passes
  * from the in-memory buffer or a store entry (replaySeconds; a
  * store-hit pass includes its decode), the fused record+simulate
@@ -160,13 +162,14 @@ struct SweepStats {
     /**
      * Decode/replay passes over trace record streams that fed timing
      * models: 1 per replay shard of every group with timing cells
-     * (spare thread budget splits a group's cells across up to
-     * min(threads, cells) shards, each running its own pass - 1 when
-     * the sweep has at least as many groups as threads, and always 1
-     * for a one-cell group); mix-only groups contribute none.
-     * Informational (it describes how the run executed, not what was
-     * simulated): instrsReplayed stays the summed trace length over
-     * all timing cells at any shard count.
+     * (spare thread budget splits a group's distinct configs - cells
+     * that share an engine cell count once - across up to
+     * min(budget, distinct configs) shards, each running its own
+     * pass - 1 when the sweep has at least as many groups as threads,
+     * and always 1 for a one-cell group); mix-only groups contribute
+     * none. Informational (it describes how the run executed, not what
+     * was simulated): instrsReplayed stays the summed trace length
+     * over all timing cells at any shard count, shared or not.
      */
     std::uint64_t replayPasses = 0;
     /**
@@ -198,21 +201,28 @@ struct SweepStats {
  * results are written into preallocated cell slots, so output order
  * is deterministic and thread-count independent.
  *
- * A group with timing cells runs one shard loop: its cells are cut
- * into contiguous replay shards, and each shard is one
+ * A group with timing cells runs one shard loop over its distinct
+ * configs. When the group's mix is known before the pass (a store
+ * hit's mix section, checked against the payload by the end of the
+ * pass, or the buffer of a multi-cell miss), each cell's config is
+ * reduced to CoreConfig::canonicalFor(mix), and cells whose canonical
+ * configs are equal (name aside) share one engine cell; each cell then
+ * gets that result under its own config name. The distinct configs
+ * are cut into contiguous replay shards, and each shard is one
  * timing::makeBatchedTimingModel fed by one pass over the group's
  * record source. The source is a TraceCursor over the store entry on
  * a hit, the in-memory TraceBuffer on a miss with two or more timing
  * cells, or the live emulation itself on a miss with exactly one, so
- * a one-cell group never buffers its trace. A mix-only group reads
- * the store entry's summary or runs one counting record pass.
+ * a one-cell group never buffers its trace (nor shares anything: its
+ * mix is known only after the pass). A mix-only group reads the store
+ * entry's summary or runs one counting record pass.
  *
- * The shard count is min(budget, cells), where the budget is the
- * thread allowance the group level cannot use (threads / workers).
- * When the plan has fewer groups than threads, the spare budget is
- * therefore spent *inside* groups, each shard running its own
- * decode/replay pass (cells are mutually independent, so the split
- * is bit-identical to one pass - tests/sweep_test.cc locks it). A
+ * The shard count is min(budget, distinct configs), where the budget
+ * is the thread allowance the group level cannot use (threads /
+ * workers). When the plan has fewer groups than threads, the spare
+ * budget is therefore spent *inside* groups, each shard running its
+ * own decode/replay pass (cells are mutually independent, so the
+ * split is bit-identical to one pass - tests/sweep_test.cc locks it). A
  * single-big-group sweep uses the full --threads allowance instead
  * of one thread.
  */

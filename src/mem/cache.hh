@@ -18,6 +18,8 @@ struct CacheConfig {
     std::uint64_t size = 32 * 1024;   //!< total bytes
     unsigned lineSize = 128;          //!< bytes per line (power of two)
     unsigned assoc = 2;               //!< ways per set
+
+    bool operator==(const CacheConfig &) const = default;
 };
 
 /// Hit/miss/writeback counters.

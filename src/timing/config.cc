@@ -126,6 +126,18 @@ CoreConfig::eightWayOoO()
     return c;
 }
 
+CoreConfig
+CoreConfig::canonicalFor(const trace::InstrMix &mix) const
+{
+    CoreConfig c = *this;
+    const LatencyConfig defaults;
+    if (mix.count(trace::InstrClass::VecLoadU) == 0)
+        c.lat.unalignedLoadExtra = defaults.unalignedLoadExtra;
+    if (mix.count(trace::InstrClass::VecStoreU) == 0)
+        c.lat.unalignedStoreExtra = defaults.unalignedStoreExtra;
+    return c;
+}
+
 const char *const CoreConfig::presetNames[3] = {"2w", "4w", "8w"};
 
 CoreConfig
@@ -135,57 +147,6 @@ CoreConfig::preset(int idx)
       case 0: return twoWayInOrder();
       case 1: return fourWayOoO();
       default: return eightWayOoO();
-    }
-}
-
-Unit
-unitFor(trace::InstrClass cls)
-{
-    using IC = trace::InstrClass;
-    switch (cls) {
-      case IC::IntAlu:
-      case IC::IntMul:
-        return Unit::FX;
-      case IC::FpAlu:
-        return Unit::FP;
-      case IC::Load:
-      case IC::Store:
-      case IC::VecLoad:
-      case IC::VecStore:
-      case IC::VecLoadU:
-      case IC::VecStoreU:
-        return Unit::LS;
-      case IC::Branch:
-        return Unit::BR;
-      case IC::VecSimple:
-        return Unit::VI;
-      case IC::VecComplex:
-        return Unit::VCMPLX;
-      case IC::VecPerm:
-      default:
-        return Unit::VPERM;
-    }
-}
-
-RegFile
-destRegFile(trace::InstrClass cls)
-{
-    using IC = trace::InstrClass;
-    switch (cls) {
-      case IC::IntAlu:
-      case IC::IntMul:
-      case IC::Load:
-        return RegFile::GPR;
-      case IC::FpAlu:
-        return RegFile::FPR;
-      case IC::VecLoad:
-      case IC::VecLoadU:
-      case IC::VecSimple:
-      case IC::VecComplex:
-      case IC::VecPerm:
-        return RegFile::VPR;
-      default:
-        return RegFile::None;
     }
 }
 

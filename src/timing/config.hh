@@ -8,10 +8,12 @@
 #define UASIM_TIMING_CONFIG_HH
 
 #include <algorithm>
+#include <iterator>
 #include <string>
 
 #include "mem/hierarchy.hh"
 #include "trace/instr.hh"
+#include "trace/mix.hh"
 
 namespace uasim::timing {
 
@@ -37,6 +39,8 @@ struct LatencyConfig {
     int unalignedStoreExtra = 0;
     /// Front-end refill after a mispredicted branch.
     int mispredictPenalty = 12;
+
+    bool operator==(const LatencyConfig &) const = default;
 };
 
 /// Functional-unit pools (Table II "Units" rows).
@@ -48,6 +52,8 @@ struct UnitConfig {
     int vi = 1;      //!< vector simple integer
     int vperm = 1;   //!< vector permute
     int vcmplx = 1;  //!< vector complex
+
+    bool operator==(const UnitConfig &) const = default;
 };
 
 /// Register file an instruction's destination lives in.
@@ -123,6 +129,28 @@ struct CoreConfig {
     void validate() const;
 
     /**
+     * This config with every knob that no instruction of @p mix can
+     * read reset to its default, so two cells whose canonical configs
+     * compare equal (name aside) simulate a trace of that mix
+     * identically and can share one engine cell (SweepRunner::run).
+     * Only two knobs are touched, each read in exactly one place of
+     * BatchedPipelineSim::tryIssue, inside `if (runtime_unaligned)`,
+     * which needs trace::isUnalignedVecMem(rec.cls):
+     *  - lat.unalignedLoadExtra, read as
+     *    `extra += cell.cfg.lat.unalignedLoadExtra;`, resets when the
+     *    mix has no VecLoadU;
+     *  - lat.unalignedStoreExtra, read as
+     *    `extra = cell.cfg.lat.unalignedStoreExtra;`, resets when the
+     *    mix has no VecStoreU.
+     * A knob read anywhere else must not be added here.
+     */
+    CoreConfig canonicalFor(const trace::InstrMix &mix) const;
+
+    /// Field-by-field, name and model included; a field added later
+    /// is compared automatically.
+    bool operator==(const CoreConfig &) const = default;
+
+    /**
      * The PR 5 deadlock rule, shared by every backend's load-issue
      * path: under serialized banks (mem.parallelBanks == false) a
      * line-crossing load occupies a second D-cache read port in the
@@ -188,11 +216,61 @@ enum class Unit { FX, FP, LS, BR, VI, VPERM, VCMPLX, NumUnits };
 
 constexpr int numUnits = static_cast<int>(Unit::NumUnits);
 
-/// Map an instruction class to the unit that executes it.
-Unit unitFor(trace::InstrClass cls);
+namespace detail {
 
-/// Map an instruction class to its destination register file.
-RegFile destRegFile(trace::InstrClass cls);
+/// unitFor's table, in InstrClass order.
+inline constexpr Unit unitTable[] = {
+    Unit::FX,      // IntAlu
+    Unit::FX,      // IntMul
+    Unit::LS,      // Load
+    Unit::LS,      // Store
+    Unit::BR,      // Branch
+    Unit::FP,      // FpAlu
+    Unit::LS,      // VecLoad
+    Unit::LS,      // VecStore
+    Unit::LS,      // VecLoadU
+    Unit::LS,      // VecStoreU
+    Unit::VI,      // VecSimple
+    Unit::VCMPLX,  // VecComplex
+    Unit::VPERM,   // VecPerm
+};
+static_assert(std::size(unitTable) == trace::numInstrClasses);
+
+/// destRegFile's table, in InstrClass order.
+inline constexpr RegFile destRegTable[] = {
+    RegFile::GPR,   // IntAlu
+    RegFile::GPR,   // IntMul
+    RegFile::GPR,   // Load
+    RegFile::None,  // Store
+    RegFile::None,  // Branch
+    RegFile::FPR,   // FpAlu
+    RegFile::VPR,   // VecLoad
+    RegFile::None,  // VecStore
+    RegFile::VPR,   // VecLoadU
+    RegFile::None,  // VecStoreU
+    RegFile::VPR,   // VecSimple
+    RegFile::VPR,   // VecComplex
+    RegFile::VPR,   // VecPerm
+};
+static_assert(std::size(destRegTable) == trace::numInstrClasses);
+
+} // namespace detail
+
+/// Map an instruction class to the unit that executes it. Inline
+/// because every issue of every cell calls it.
+constexpr Unit
+unitFor(trace::InstrClass cls)
+{
+    return detail::unitTable[static_cast<int>(cls)];
+}
+
+/// Map an instruction class to its destination register file. Inline
+/// because every dispatch and retire of every cell calls it.
+constexpr RegFile
+destRegFile(trace::InstrClass cls)
+{
+    return detail::destRegTable[static_cast<int>(cls)];
+}
 
 } // namespace uasim::timing
 

@@ -71,6 +71,8 @@ class InstrMix
     std::uint64_t vecTotal() const;     //!< all vector classes
     /// @}
 
+    bool operator==(const InstrMix &) const = default;
+
     /// Reset all counters.
     void clear() { counts_.fill(0); }
 

@@ -619,23 +619,37 @@ TraceCursor::TraceCursor(const TraceReader *reader)
 {
 }
 
+void
+TraceCursor::checkEnd() const
+{
+    if (pos_ != reader_->data_ + reader_->payloadSize_) {
+        throw std::runtime_error(
+            "TraceReader: payload continues past the " +
+            std::to_string(reader_->count_) +
+            " records promised by the header in " + reader_->path_);
+    }
+    // The mix section is hash-validated against itself only; this ties
+    // it to the payload, so a consumer that acts on the stored mix
+    // before a pass (the sweep's config dedup) learns of a mismatch by
+    // the end of that pass.
+    if (!(mix_ == reader_->mix_)) {
+        throw std::runtime_error(
+            "TraceReader: decoded instruction classes disagree with "
+            "the mix section in " + reader_->path_);
+    }
+}
+
 bool
 TraceCursor::next(InstrRecord &rec)
 {
     if (!reader_)
         return false;
-    const std::uint8_t *end =
-        reader_->data_ + reader_->payloadSize_;
     if (read_ >= reader_->count_) {
-        if (pos_ != end)
-            throw std::runtime_error(
-                "TraceReader: payload continues past the " +
-                std::to_string(reader_->count_) +
-                " records promised by the "
-                "header in " + reader_->path_);
+        checkEnd();
         return false;
     }
-    decoder_.decode(pos_, end, rec);
+    decoder_.decode(pos_, reader_->data_ + reader_->payloadSize_, rec);
+    mix_.add(rec);
     ++read_;
     return true;
 }
@@ -645,20 +659,16 @@ TraceCursor::nextBlock(InstrRecord *out, std::size_t maxRecords)
 {
     if (!reader_)
         return 0;
-    const std::uint8_t *end =
-        reader_->data_ + reader_->payloadSize_;
     if (read_ >= reader_->count_) {
-        if (pos_ != end)
-            throw std::runtime_error(
-                "TraceReader: payload continues past the " +
-                std::to_string(reader_->count_) +
-                " records promised by the "
-                "header in " + reader_->path_);
+        checkEnd();
         return 0;
     }
     const std::size_t want = std::size_t(std::min<std::uint64_t>(
         reader_->count_ - read_, maxRecords));
-    const std::size_t got = decoder_.decodeBlock(pos_, end, out, want);
+    const std::size_t got = decoder_.decodeBlock(
+        pos_, reader_->data_ + reader_->payloadSize_, out, want);
+    for (std::size_t i = 0; i < got; ++i)
+        mix_.add(out[i]);
     read_ += got;
     if (got < want) {
         // The payload ended on a record boundary before the count

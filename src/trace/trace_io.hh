@@ -264,8 +264,10 @@ class TraceCursor
 
     /**
      * Read the next record. @return false at end of trace.
-     * @throws std::runtime_error if the payload is malformed or does
-     * not contain exactly the record count promised by the header.
+     * @throws std::runtime_error if the payload is malformed, does
+     * not contain exactly the record count promised by the header, or
+     * (checked at end of trace) its records' classes do not add up to
+     * the reader's mix().
      */
     bool next(InstrRecord &rec);
 
@@ -273,7 +275,7 @@ class TraceCursor
      * Read up to @p maxRecords records into @p out via the block
      * decoder. @return the number read; 0 only at end of trace.
      * Interleaves freely with next() (one decode stream) and applies
-     * the same malformed-payload and record-count checks.
+     * the same malformed-payload, record-count and mix checks.
      */
     std::size_t nextBlock(InstrRecord *out, std::size_t maxRecords);
 
@@ -283,11 +285,14 @@ class TraceCursor
   private:
     friend class TraceReader;
     explicit TraceCursor(const TraceReader *reader);
+    /// End-of-trace checks: no trailing payload, mix_ == reader mix.
+    void checkEnd() const;
 
     const TraceReader *reader_ = nullptr;
     const std::uint8_t *pos_ = nullptr;
     wire::RecordDecoder decoder_;
     std::uint64_t read_ = 0;
+    InstrMix mix_;  //!< classes of the records decoded so far
 };
 
 /**
@@ -330,7 +335,8 @@ class TraceReader
     const std::string &key() const { return key_; }
 
     /// The instruction mix stored in the file's mix section
-    /// (hash-validated; equals the mix of the decoded stream).
+    /// (hash-validated; every cursor checks it against the classes it
+    /// decoded when it reaches end of trace).
     const InstrMix &mix() const { return mix_; }
 
     /// Payload length in bytes (the compressed record stream).

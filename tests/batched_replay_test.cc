@@ -20,7 +20,11 @@
  *    empty stream;
  *  - the enforced constructor precondition: invalid configs, unknown
  *    backends and mixed predictor geometries throw before anything
- *    is sized.
+ *    is sized;
+ *  - CoreConfig::canonicalFor soundness: on every paper kernel trace
+ *    a random config and its canonical form give identical results,
+ *    and on a misaligned-lvxu trace the knob it may reset does move
+ *    the cycles.
  * Every comparison iterates core::simResultFields(), so a counter
  * added to SimResult is automatically diffed here — modeling it in
  * one engine but not the other fails the harness by construction.
@@ -494,4 +498,53 @@ TEST(BatchedReplay, NonDefaultPredictorGeometry)
     for (auto &cfg : cfgs)
         cfg.bpredLog2Entries = 4;
     expectBitIdentical(cfgs, records, "bpred 2^4");
+}
+
+TEST(BatchedReplay, CanonicalConfigIsSoundOnKernelTraces)
+{
+    // CoreConfig::canonicalFor(mix) may reset only knobs no record of
+    // the trace reads, so the sweep can run one engine cell for every
+    // config with the same canonical form. On every paper kernel trace
+    // the oracle must give a seeded random config and its canonical
+    // form identical results.
+    std::mt19937_64 rng(0xca70);
+    int resets = 0;
+    for (const auto &spec : core::paperKernelGrid()) {
+        for (auto variant :
+             {Variant::Scalar, Variant::Altivec, Variant::Unaligned}) {
+            const auto records = kernelRecords(spec, variant, 2);
+            trace::InstrMix mix;
+            for (const auto &rec : records)
+                mix.add(rec);
+            for (int i = 0; i < 2; ++i) {
+                const CoreConfig cfg = randomConfig(rng, i);
+                const CoreConfig canon = cfg.canonicalFor(mix);
+                if (!(canon == cfg))
+                    ++resets;
+                const auto want = perCellResults({cfg}, records);
+                const auto got = perCellResults({canon}, records);
+                expectFieldsIdentical(
+                    want[0], got[0],
+                    spec.name() + "/" +
+                        std::string(h264::variantName(variant)) +
+                        " config " + std::to_string(i));
+            }
+        }
+    }
+    EXPECT_GT(resets, 0) << "no config was canonicalized";
+
+    // Not vacuous: where the trace issues misaligned lvxu, the knob
+    // moves the cycles, and canonicalFor keeps the configs apart.
+    const auto records =
+        kernelRecords({KernelId::LumaMc, 16, false}, Variant::Unaligned, 2);
+    trace::InstrMix mix;
+    for (const auto &rec : records)
+        mix.add(rec);
+    CoreConfig fast = CoreConfig::fourWayOoO();
+    CoreConfig slow = fast;
+    slow.lat.unalignedLoadExtra = 6;
+    const auto results = perCellResults({fast, slow}, records);
+    EXPECT_GT(results[0].unalignedVecOps, 0u);
+    EXPECT_NE(results[0].cycles, results[1].cycles);
+    EXPECT_FALSE(fast.canonicalFor(mix) == slow.canonicalFor(mix));
 }

@@ -23,7 +23,13 @@
  *    re-recording with no stats from the failed pass, and
  *    non-cacheable jobs bypass the store;
  *  - an unknown timing model fails the run before it emulates or
- *    stores anything, and leaves valid store entries in place.
+ *    stores anything, and leaves valid store entries in place;
+ *  - cells whose configs differ only in knobs their trace never
+ *    reads share one engine cell: on a Fig-9-shaped grid, cold and
+ *    warm, every cell still matches the oracle under its own name,
+ *    instrsReplayed counts every cell and replayPasses the distinct
+ *    configs; a store entry whose mix section disagrees with its
+ *    payload is re-recorded.
  */
 
 #include <gtest/gtest.h>
@@ -341,7 +347,9 @@ makeStorePlan()
 
 /// One trace group, 16 timing cells: the worst case for group-level
 /// parallelism (pool collapses to one worker) and the best case for
-/// intra-group cell sharding.
+/// intra-group cell sharding. Every cell has its own lvxu latency on
+/// a trace that issues lvxu, so no two cells share an engine cell and
+/// the group really has 16 cells to shard.
 SweepPlan
 makeSingleBigGroupPlan(int execs = 4)
 {
@@ -352,6 +360,7 @@ makeSingleBigGroupPlan(int execs = 4)
     for (int i = 0; i < 16; ++i) {
         auto cfg = (i % 2) ? timing::CoreConfig::fourWayOoO()
                            : timing::CoreConfig::twoWayInOrder();
+        cfg.lat.unalignedLoadExtra = i;
         plan.addCell(t, plan.addConfig("c" + std::to_string(i), cfg));
     }
     return plan;
@@ -719,16 +728,44 @@ namespace {
  * recomputed, so the entry opens cleanly and fails mid-decode (the
  * corruption TraceIoCorruption.InvalidClassByteRejected plants).
  */
+/// UATRACE2 file bytes for @p key, @p mix and @p payload with every
+/// header hash computed, so the entry opens cleanly whatever the
+/// payload and the mix say.
+std::string
+entryBytes(const std::string &key, std::uint64_t count,
+           const trace::InstrMix &mix, const std::string &payload)
+{
+    trace::wire::Header h;
+    h.keyBytes = std::uint32_t(key.size());
+    h.recordCount = count;
+    h.payloadBytes = payload.size();
+    h.payloadHash = trace::wire::fnv1a(payload.data(), payload.size());
+    h.keyHash = trace::wire::fnv1a(key.data(), key.size());
+    const std::string section = trace::wire::serializeMix(mix);
+    h.mixHash = trace::wire::fnv1a(section.data(), section.size());
+    return h.serialize() + key + section + payload;
+}
+
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in), {}};
+}
+
+void
+writeFile(const std::string &path, const std::string &bytes)
+{
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), std::streamsize(bytes.size()));
+    ASSERT_TRUE(out.good()) << path;
+}
+
 void
 plantBadClassByte(const trace::TraceStore &store, const std::string &key)
 {
     const std::string path = store.entryPath(key);
-    std::string file;
-    {
-        std::ifstream in(path, std::ios::binary);
-        ASSERT_TRUE(in) << path;
-        file.assign(std::istreambuf_iterator<char>(in), {});
-    }
+    const std::string file = readFile(path);
     trace::TraceReader reader(path, key);
     ASSERT_GT(reader.count(), 1100u) << "trace too short to fail "
                                         "past the first decode block";
@@ -744,25 +781,42 @@ plantBadClassByte(const trace::TraceStore &store, const std::string &key)
     for (std::uint64_t i = 0; i < victim; ++i)
         dec.decode(p, base + payload.size(), rec);
 
-    auto rebuild = [&](const std::string &body) {
-        trace::wire::Header h;
-        h.keyBytes = std::uint32_t(key.size());
-        h.recordCount = reader.count();
-        h.payloadBytes = body.size();
-        h.payloadHash = trace::wire::fnv1a(body.data(), body.size());
-        h.keyHash = trace::wire::fnv1a(key.data(), key.size());
-        const std::string mix = trace::wire::serializeMix(reader.mix());
-        h.mixHash = trace::wire::fnv1a(mix.data(), mix.size());
-        return h.serialize() + key + mix + body;
-    };
     // The rebuild reproduces the writer's layout byte for byte.
-    ASSERT_TRUE(rebuild(payload) == file);
+    ASSERT_TRUE(entryBytes(key, reader.count(), reader.mix(), payload) ==
+                file);
     payload[std::size_t(p - base)] = char(0x3f);  // cls 63
+    writeFile(path,
+              entryBytes(key, reader.count(), reader.mix(), payload));
+}
 
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    const std::string bad = rebuild(payload);
-    out.write(bad.data(), std::streamsize(bad.size()));
-    ASSERT_TRUE(out.good()) << path;
+/**
+ * Rewrite @p key's store entry so its mix section moves @p moved
+ * VecLoadU counts to VecLoad: the total and every hash stay valid,
+ * so the entry opens cleanly and reports a mix its payload does not
+ * have.
+ */
+void
+plantMovedLvxuCounts(const trace::TraceStore &store, const std::string &key,
+                     std::uint64_t moved)
+{
+    const std::string path = store.entryPath(key);
+    const std::string file = readFile(path);
+    trace::TraceReader reader(path, key);
+    const std::string payload =
+        file.substr(file.size() - reader.payloadBytes());
+    trace::InstrMix mix;
+    for (int c = 0; c < trace::numInstrClasses; ++c) {
+        auto cls = static_cast<trace::InstrClass>(c);
+        std::uint64_t n = reader.mix().count(cls);
+        if (cls == trace::InstrClass::VecLoadU) {
+            ASSERT_GE(n, moved);
+            n -= moved;
+        } else if (cls == trace::InstrClass::VecLoad) {
+            n += moved;
+        }
+        mix.add(cls, n);
+    }
+    writeFile(path, entryBytes(key, reader.count(), mix, payload));
 }
 
 } // namespace
@@ -819,5 +873,122 @@ TEST(SweepStore, MidDecodeFailureFallsBackToRecordingAndHeals)
         expectResultsEqual(want, warm.run(makePlan()));
         EXPECT_EQ(warm.stats().tracesRecorded, 0u);
         EXPECT_EQ(warm.stats().tracesLoaded, 1u);
+    }
+}
+
+// ---- cells that share one engine cell ----
+
+namespace {
+
+/// Fig 9 in small: the altivec and unaligned variants of one kernel,
+/// each on both backends at three lvxu/stvxu latencies. Every config
+/// is named after its label, as campaigns name theirs.
+SweepPlan
+makeFig9Plan()
+{
+    SweepPlan plan;
+    std::vector<int> configs;
+    for (const char *model : {"pipeline", "ooo"}) {
+        for (int extra : {0, 2, 6}) {
+            auto cfg = timing::CoreConfig::fourWayOoO();
+            cfg.model = model;
+            cfg.lat.unalignedLoadExtra = extra;
+            cfg.lat.unalignedStoreExtra = extra;
+            cfg.name = std::string(model) + "/+" + std::to_string(extra);
+            configs.push_back(plan.addConfig(cfg.name, cfg));
+        }
+    }
+    for (auto variant : {Variant::Altivec, Variant::Unaligned}) {
+        int t = plan.addTrace(core::kernelTraceJob(
+            {KernelId::Sad, 16, false}, variant, 4));
+        for (int c : configs)
+            plan.addCell(t, c);
+    }
+    return plan;
+}
+
+/// The altivec group's 6 cells share 2 engine cells (one per
+/// backend); the unaligned group's 6 are all distinct.
+constexpr std::uint64_t fig9DistinctConfigs = 2 + 6;
+
+} // namespace
+
+TEST(SweepDedup, Fig9GridMatchesPerCellOracleColdAndWarm)
+{
+    const auto want = perCellOracle(makeFig9Plan());
+    ASSERT_EQ(want.size(), 12u);
+    // The plan's premise: the altivec trace issues no lvxu/stvxu, the
+    // unaligned one does, and there its latency changes the cycles.
+    EXPECT_EQ(want[0].mix.count(trace::InstrClass::VecLoadU), 0u);
+    EXPECT_EQ(want[0].mix.count(trace::InstrClass::VecStoreU), 0u);
+    EXPECT_GT(want[6].mix.count(trace::InstrClass::VecLoadU), 0u);
+    EXPECT_NE(want[6].sim.cycles, want[7].sim.cycles);
+    std::uint64_t allCellsInstrs = 0;
+    for (const auto &cell : want)
+        allCellsInstrs += cell.traceInstrs;
+
+    StoreDir dir("dedup_fig9");
+    // 12 threads: each group's shard budget (6) covers all its cells,
+    // so every distinct config gets its own pass; 1 thread: one pass
+    // per group.
+    const struct {
+        bool warm;
+        int threads;
+        std::uint64_t passes;
+    } runs[] = {
+        {false, 12, fig9DistinctConfigs},
+        {true, 12, fig9DistinctConfigs},
+        {true, 1, 2},
+    };
+    for (const auto &r : runs) {
+        SCOPED_TRACE(std::string(r.warm ? "warm, " : "cold, ") +
+                     std::to_string(r.threads) + " threads");
+        SweepRunner runner(r.threads);
+        runner.attachStore(dir.path);
+        const auto got = runner.run(makeFig9Plan());
+        expectResultsEqual(want, got);
+        for (const auto &cell : got)
+            EXPECT_EQ(cell.sim.core, cell.configLabel);
+        const auto &st = runner.stats();
+        EXPECT_EQ(st.tracesLoaded, r.warm ? 2u : 0u);
+        EXPECT_EQ(st.cellsRun, 12u);
+        EXPECT_EQ(st.instrsReplayed, allCellsInstrs);
+        EXPECT_EQ(st.replayPasses, r.passes);
+    }
+}
+
+TEST(SweepStore, StoredMixDisagreeingWithPayloadReRecords)
+{
+    // The dedup trusts a store entry's mix before the pass, so a mix
+    // section that lies about lvxu is caught at the end of that pass:
+    // the entry is discarded and re-recorded, and every cell matches
+    // the per-cell oracle. Moving one count is the smallest lie;
+    // moving all of them would merge the unaligned group's latency
+    // cells if the lie went unchecked.
+    const auto want = perCellOracle(makeFig9Plan());
+    const std::string key = makeFig9Plan().traces()[1].key;
+    for (bool all : {false, true}) {
+        SCOPED_TRACE(all ? "every lvxu count moved" : "one lvxu count moved");
+        StoreDir dir(all ? "mix_lie_all" : "mix_lie_one");
+        SweepRunner cold(1);
+        cold.attachStore(dir.path);
+        expectResultsEqual(want, cold.run(makeFig9Plan()));
+        const std::uint64_t lvxu =
+            want[6].mix.count(trace::InstrClass::VecLoadU);
+        plantMovedLvxuCounts(*cold.store(), key, all ? lvxu : 1);
+        if (HasFatalFailure())
+            return;
+
+        SweepRunner warm(1);
+        warm.attachStore(dir.path);
+        expectResultsEqual(want, warm.run(makeFig9Plan()));
+        const auto &ws = warm.stats();
+        EXPECT_EQ(ws.tracesLoaded, 1u);
+        EXPECT_EQ(ws.tracesRecorded, 1u);
+        EXPECT_EQ(ws.tracesStored, 1u);
+
+        // The re-recorded entry carries the payload's own mix.
+        trace::TraceReader healed(cold.store()->entryPath(key), key);
+        expectMixEqual(healed.mix(), want[6].mix);
     }
 }

@@ -5,11 +5,13 @@
  * forwarding, branch misprediction, unaligned-access latency, and the
  * branch predictor. The single-engine cases run on the test-only
  * reference model (tests/reference_pipeline.hh). The analytic
- * latency/throughput checks (EngineTiming) run on both backends -
- * "pipeline" and "ooo", each on the reference model and as a cell of
- * the library's batched engine - and hold with the same bounds on all
- * four: their streams exercise no mechanism where the backends differ
- * by design (an out-of-order preset, no aliasing stores that fail to
+ * latency/throughput checks (EngineTiming: width and FX-unit bounds,
+ * dependence chains, load and unaligned latency, aligned lvxu, store
+ * forwarding, MSHR limits, mispredict fetch stalls) run on both
+ * backends - "pipeline" and "ooo", each on the reference model and as
+ * a cell of the library's batched engine - and hold with the same
+ * bounds on all four: their streams exercise no mechanism where the
+ * backends differ by design (no aliasing stores that fail to
  * forward).
  */
 
@@ -103,15 +105,6 @@ TEST(Pipeline, RetiresEverythingFed)
     }
 }
 
-TEST(Pipeline, IpcNeverExceedsWidth)
-{
-    for (int p = 0; p < 3; ++p) {
-        CoreConfig cfg = CoreConfig::preset(p);
-        auto r = runIndependent(cfg, InstrClass::IntAlu, 5000);
-        EXPECT_LE(r.ipc(), double(cfg.fetchWidth) + 1e-9) << r.core;
-    }
-}
-
 TEST(Pipeline, WiderCoreIsFasterOnParallelWork)
 {
     auto r2 = runIndependent(CoreConfig::twoWayInOrder(),
@@ -122,15 +115,6 @@ TEST(Pipeline, WiderCoreIsFasterOnParallelWork)
                              InstrClass::IntAlu, 4000);
     EXPECT_LT(r4.cycles, r2.cycles);
     EXPECT_LT(r8.cycles, r4.cycles);
-}
-
-TEST(Pipeline, FxUnitThroughputBindsIntAlu)
-{
-    // 2-way has 2 FX units: 4000 independent adds need >= 2000 cycles.
-    auto r = runIndependent(CoreConfig::twoWayInOrder(),
-                            InstrClass::IntAlu, 4000);
-    EXPECT_GE(r.cycles, 2000u);
-    EXPECT_LE(r.cycles, 2300u);  // and not much more
 }
 
 // The analytic checks below run on every engine: each backend both
@@ -235,6 +219,76 @@ TEST_P(EngineTiming, MshrLimitThrottlesMisses)
     EXPECT_GT(few.cycles, many.cycles * 3);
 }
 
+TEST_P(EngineTiming, IpcNeverExceedsWidth)
+{
+    for (int p = 0; p < 3; ++p) {
+        CoreConfig cfg = CoreConfig::preset(p);
+        auto r = run(cfg, [](trace::Emitter &em) {
+            for (int i = 0; i < 5000; ++i)
+                em.emit(InstrClass::IntAlu, std::source_location::current());
+        });
+        EXPECT_LE(r.ipc(), double(cfg.fetchWidth) + 1e-9) << r.core;
+    }
+}
+
+TEST_P(EngineTiming, FxUnitThroughputBindsIntAlu)
+{
+    // 2-way has 2 FX units: 4000 independent adds need >= 2000 cycles.
+    auto r = run(CoreConfig::twoWayInOrder(), [](trace::Emitter &em) {
+        for (int i = 0; i < 4000; ++i)
+            em.emit(InstrClass::IntAlu, std::source_location::current());
+    });
+    EXPECT_GE(r.cycles, 2000u);
+    EXPECT_LE(r.cycles, 2300u);  // and not much more
+}
+
+TEST_P(EngineTiming, AlignedLvxuPaysNoPenalty)
+{
+    vmx::AlignedBuffer buf(256, 0);  // aligned base
+    auto runExtra = [&](int extra) {
+        CoreConfig cfg = CoreConfig::fourWayOoO();
+        cfg.lat.unalignedLoadExtra = extra;
+        return run(cfg, [&](trace::Emitter &em) {
+            trace::Dep prev{};
+            for (int i = 0; i < 400; ++i) {
+                prev = em.emitMem(
+                    InstrClass::VecLoadU,
+                    reinterpret_cast<std::uint64_t>(buf.data()), 16,
+                    std::source_location::current(), prev);
+            }
+        });
+    };
+    EXPECT_EQ(runExtra(0).cycles, runExtra(6).cycles);
+}
+
+TEST_P(EngineTiming, MispredictsStallFetch)
+{
+    auto runPattern = [&](bool random_pattern) {
+        return run(CoreConfig::fourWayOoO(), [&](trace::Emitter &em) {
+            std::uint64_t lcg = 12345;
+            for (int i = 0; i < 2000; ++i) {
+                bool taken;
+                if (random_pattern) {
+                    lcg = lcg * 6364136223846793005ull + 13;
+                    taken = (lcg >> 40) & 1;
+                } else {
+                    taken = true;
+                }
+                em.emitBranch(taken, std::source_location::current());
+                for (int k = 0; k < 3; ++k)
+                    em.emit(InstrClass::IntAlu,
+                            std::source_location::current());
+            }
+        });
+    };
+    auto predictable = runPattern(false);
+    auto random = runPattern(true);
+    EXPECT_LT(predictable.mispredictRate(), 0.02);
+    EXPECT_GT(random.mispredictRate(), 0.3);
+    EXPECT_GT(random.cycles, predictable.cycles * 2);
+    EXPECT_GT(random.fetchStallCycles, predictable.fetchStallCycles);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllEngines, EngineTiming,
     ::testing::Values(Engine{"pipeline", false}, Engine{"pipeline", true},
@@ -243,56 +297,6 @@ INSTANTIATE_TEST_SUITE_P(
         return std::string(info.param.model) +
             (info.param.batched ? "_batched" : "_percell");
     });
-
-TEST(Pipeline, AlignedLvxuPaysNoPenalty)
-{
-    vmx::AlignedBuffer buf(256, 0);  // aligned base
-    auto run = [&](int extra) {
-        CoreConfig cfg = CoreConfig::fourWayOoO();
-        cfg.lat.unalignedLoadExtra = extra;
-        ReferencePipeline sim(cfg);
-        trace::Emitter em(sim);
-        trace::Dep prev{};
-        for (int i = 0; i < 400; ++i) {
-            prev = em.emitMem(
-                InstrClass::VecLoadU,
-                reinterpret_cast<std::uint64_t>(buf.data()), 16,
-                std::source_location::current(), prev);
-        }
-        return sim.finalize();
-    };
-    EXPECT_EQ(run(0).cycles, run(6).cycles);
-}
-
-TEST(Pipeline, MispredictsStallFetch)
-{
-    CoreConfig cfg = CoreConfig::fourWayOoO();
-    auto run = [&](bool random_pattern) {
-        ReferencePipeline sim(cfg);
-        trace::Emitter em(sim);
-        std::uint64_t lcg = 12345;
-        for (int i = 0; i < 2000; ++i) {
-            bool taken;
-            if (random_pattern) {
-                lcg = lcg * 6364136223846793005ull + 13;
-                taken = (lcg >> 40) & 1;
-            } else {
-                taken = true;
-            }
-            em.emitBranch(taken, std::source_location::current());
-            for (int k = 0; k < 3; ++k)
-                em.emit(InstrClass::IntAlu,
-                        std::source_location::current());
-        }
-        return sim.finalize();
-    };
-    auto predictable = run(false);
-    auto random = run(true);
-    EXPECT_LT(predictable.mispredictRate(), 0.02);
-    EXPECT_GT(random.mispredictRate(), 0.3);
-    EXPECT_GT(random.cycles, predictable.cycles * 2);
-    EXPECT_GT(random.fetchStallCycles, predictable.fetchStallCycles);
-}
 
 TEST(Pipeline, InOrderSlowerThanOoOOnMixedChain)
 {

@@ -8,8 +8,8 @@
  *    and never publishes an uncommitted recording;
  *  - every corruption mode in the table (truncation, bad magic, bad
  *    version, wrong checksum, lying header counts, invalid class
- *    bytes) is rejected with a clear error instead of being read as
- *    data;
+ *    bytes, a mix section the payload's classes do not add up to) is
+ *    rejected with a clear error instead of being read as data;
  *  - FileSink surfaces write failures (throw from close(), report
  *    from the destructor) instead of leaving a truncated trace with
  *    a valid-looking header - the PR 4 bug class.
@@ -440,6 +440,56 @@ TEST_F(TraceIoCorruption, PayloadLongerThanCountRejectedAtEnd)
     ut::InstrRecord rec;
     EXPECT_TRUE(reader.next(rec));
     EXPECT_TRUE(reader.next(rec));
+    EXPECT_THROW(reader.next(rec), std::runtime_error);
+}
+
+TEST_F(TraceIoCorruption, MixSectionDisagreeingWithPayloadRejectedAtEnd)
+{
+    // A mix section that moves one VecLoadU count to VecLoad, with a
+    // valid mix hash and the same total: the file opens and reports
+    // the stored mix, and every decode pass - a cursor's nextBlock()
+    // or the reader's own next() - throws when it reaches the end.
+    const auto recs = syntheticRecords();
+    std::string payload;
+    ut::InstrMix mix;
+    ut::wire::RecordEncoder enc;
+    for (const auto &rec : recs) {
+        enc.encode(rec, payload);
+        mix.add(rec);
+    }
+    ASSERT_GT(mix.count(ut::InstrClass::VecLoadU), 0u);
+    ut::InstrMix moved;
+    for (int c = 0; c < ut::numInstrClasses; ++c) {
+        auto cls = static_cast<ut::InstrClass>(c);
+        std::uint64_t n = mix.count(cls);
+        if (cls == ut::InstrClass::VecLoadU)
+            --n;
+        else if (cls == ut::InstrClass::VecLoad)
+            ++n;
+        moved.add(cls, n);
+    }
+    ASSERT_EQ(moved.total(), mix.total());
+    writeAll(path_, buildRaw("k", recs.size(), moved, payload));
+
+    ut::TraceReader reader(path_);
+    EXPECT_TRUE(reader.mix() == moved);
+    ut::TraceCursor cur = reader.cursor();
+    ut::InstrRecord block[4];
+    std::size_t decoded = 0;
+    try {
+        while (std::size_t n = cur.nextBlock(block, std::size(block)))
+            decoded += n;
+        FAIL() << "a cursor reached end of trace without a mix error";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find("mix section"),
+                  std::string::npos)
+            << "actual error: " << e.what();
+    }
+    EXPECT_EQ(decoded, recs.size()) << "the mix is checked at the end";
+
+    ut::InstrRecord rec;
+    for (std::size_t i = 0; i < recs.size(); ++i)
+        ASSERT_TRUE(reader.next(rec));
     EXPECT_THROW(reader.next(rec), std::runtime_error);
 }
 
